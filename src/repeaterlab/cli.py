@@ -6,10 +6,10 @@ Subcommands: ``rates``, ``simulate``, ``sweep``, ``bsm-verify``,
 values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
-nontermination guard (a zero-probability stage).  Flag overrides take
-precedence over the config file, which takes precedence over the paper
-defaults.  REPEATERLAB_SEED provides the default seed (the --seed flag
-wins).
+sampling guard (a zero-probability stage, or a link success probability
+too small to sample).  Flag overrides take precedence over the config
+file, which takes precedence over the paper defaults.  REPEATERLAB_SEED
+provides the default seed (the --seed flag wins).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import optics, rates, sim
-from .core import ConfigError, ProtocolParams, load_config, paper_defaults, validate
+from .core import _CONFIG_KEYS, ConfigError, ProtocolParams, load_config, paper_defaults, validate
 from .fock import dark_state_residual
 
 EXIT_OK = 0
@@ -32,38 +32,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-_OVERRIDE_FLAGS = {
-    # flag dest -> ProtocolParams field
-    "eta_p": "eta_p",
-    "eta_s": "eta_s",
-    "eta_e1": "eta_e1",
-    "eta_e2": "eta_e2",
-    "eta_d": "eta_d",
-    "r_hz": "r",
-    "l_km": "L",
-    "l_att_km": "L_att",
-    "c_km_s": "c",
-    "n": "n",
-    "p_d": "p_d",
-}
-
-_SWEEPABLE_FIELDS = ("eta_p", "eta_s", "eta_e1", "eta_e2", "eta_d", "r", "L", "L_att", "c", "n", "p_d")
-
 
 def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="JSON config file (missing keys take paper defaults)")
     group = parser.add_argument_group("parameter overrides (take precedence over --config)")
-    group.add_argument("--eta-p", dest="eta_p", type=float)
-    group.add_argument("--eta-s", dest="eta_s", type=float)
-    group.add_argument("--eta-e1", dest="eta_e1", type=float)
-    group.add_argument("--eta-e2", dest="eta_e2", type=float)
-    group.add_argument("--eta-d", dest="eta_d", type=float)
-    group.add_argument("--r-hz", dest="r_hz", type=float)
-    group.add_argument("--l-km", dest="l_km", type=float)
-    group.add_argument("--l-att-km", dest="l_att_km", type=float)
-    group.add_argument("--c-km-s", dest="c_km_s", type=float)
-    group.add_argument("--n", dest="n", type=int)
-    group.add_argument("--p-d", dest="p_d", type=float)
+    for key in _CONFIG_KEYS:
+        group.add_argument("--" + key.replace("_", "-"), dest=key, type=int if key == "n" else float)
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -83,8 +57,8 @@ def _load_params(args) -> ProtocolParams:
         params = paper_defaults()
 
     overrides = {}
-    for dest, field in _OVERRIDE_FLAGS.items():
-        value = getattr(args, dest, None)
+    for key, field in _CONFIG_KEYS.items():
+        value = getattr(args, key, None)
         if value is not None:
             overrides[field] = value
     if overrides:
@@ -175,8 +149,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     params = _load_params(args)
     key = args.param
-    if key not in _SWEEPABLE_FIELDS:
-        raise ConfigError(f"unknown sweep parameter {key!r}; one of {', '.join(_SWEEPABLE_FIELDS)}")
+    if key not in _CONFIG_KEYS.values():
+        raise ConfigError(f"unknown sweep parameter {key!r}; one of {', '.join(_CONFIG_KEYS.values())}")
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")

@@ -1,4 +1,4 @@
-"""Monte Carlo discrete-event simulation of the repeater chain.
+"""Monte Carlo simulation of the repeater chain.
 
 Event semantics of one trial:
 
@@ -18,9 +18,10 @@ Event semantics of one trial:
 Randomness contract: one root 64-bit seed; trial i uses the independent
 substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
-rerun is bit-for-bit identical.  Within a trial the stream is consumed
-in a fixed order (per link build: attempt count, then the 2K geometric
-preparation draws; per swap attempt: one uniform).
+rerun is bit-for-bit identical.  Within a trial the stream runs
+top-down: one Geom(p_swap) attempt count per requested link at each
+level; then, per level-0 slice, the K ~ Geom(p_0) launch counts followed
+by the 2*sum(K) preparation draws.  ``_SLICE_DRAWS`` fixes the slicing.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ from .core import ProtocolParams
 
 
 class SimulationGuardError(RuntimeError):
-    """A stage probability is zero, so the chain would never terminate."""
+    """A stage probability is zero or too small for the chain to be sampled."""
 
 
 @dataclass(frozen=True)
 class SimPolicy:
-    """Timing policy of the event simulation.
-
-    ``swap_comm_time`` adds the per-attempt classical confirmation delay
-    L_{i-1}/c at swap level i.  Elementary links always attempt
-    concurrently, and failed swaps always restart both subtrees in
-    parallel (the protocol prepares swap inputs simultaneously).
-    """
+    """Timing policy: ``swap_comm_time`` adds the per-attempt classical
+    confirmation delay L_{i-1}/c at swap level i."""
 
     swap_comm_time: bool = False
 
@@ -71,31 +67,6 @@ class TrialResult:
     seed: int
 
 
-class ChainState:
-    """Level-indexed link availability plus the latest event time.
-
-    Structural invariant: a level-i link may be marked ready only after
-    its two level-(i-1) children were consumed by a swap attempt.
-    """
-
-    __slots__ = ("link_ready", "clock")
-
-    def __init__(self, n: int):
-        self.link_ready: list[list[bool]] = [[False] * 2 ** (n - lvl) for lvl in range(n + 1)]
-        self.clock = 0.0
-
-    def mark_ready(self, level: int, segment: int, time: float) -> None:
-        if self.link_ready[level][segment]:
-            raise RuntimeError(f"level-{level} segment {segment} is already ready")
-        self.link_ready[level][segment] = True
-        self.clock = max(self.clock, time)
-
-    def consume(self, level: int, segment: int) -> None:
-        if not self.link_ready[level][segment]:
-            raise RuntimeError(f"level-{level} segment {segment} consumed while absent")
-        self.link_ready[level][segment] = False
-
-
 def derive_trial_seed(root_seed: int, index: int) -> int:
     """Deterministic 64-bit substream seed for trial ``index``."""
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(index,))
@@ -111,56 +82,12 @@ def _stage_probabilities(params: ProtocolParams) -> tuple[float, float, float]:
     return p_l, p_0, p_sw
 
 
-class _LinkBuildSampler:
-    """Batched sampler of level-0 build outcomes.
-
-    Each build needs one geometric attempt count K and 2K geometric
-    preparation draws; builds are pre-sampled in deterministically
-    growing batches (unconsumed samples are simply burned stream), which
-    keeps results identical across runs while avoiding per-build RNG
-    call overhead.
-    """
-
-    def __init__(self, rng: np.random.Generator, p_l: float, p_0: float):
-        self._rng = rng
-        self._p_l = p_l
-        self._p_0 = p_0
-        self._batch = 4
-        self._queue: list[tuple[int, int, int]] = []
-
-    def draw(self) -> tuple[int, int, int]:
-        """(pulse slots, link attempts, prep attempts) of one build."""
-        if not self._queue:
-            self._refill()
-        return self._queue.pop()
-
-    def _refill(self) -> None:
-        k = self._rng.geometric(self._p_0, size=self._batch)
-        self._batch = min(self._batch * 2, 256)
-        total = int(k.sum())
-        draws = self._rng.geometric(self._p_l, size=(2, total))
-        starts = np.concatenate(([0], np.cumsum(k)[:-1]))
-        pulse_sums = np.add.reduceat(np.maximum(draws[0], draws[1]), starts)
-        prep_sums = np.add.reduceat(draws[0] + draws[1], starts)
-        batch = list(zip(pulse_sums.tolist(), k.tolist(), prep_sums.tolist()))
-        batch.reverse()
-        self._queue = batch
-
-
-class _UniformPool:
-    """Batched uniform variates for the swap decisions."""
-
-    def __init__(self, rng: np.random.Generator, batch: int = 128):
-        self._rng = rng
-        self._batch = batch
-        self._values: list[float] = []
-
-    def draw(self) -> float:
-        if not self._values:
-            values = self._rng.random(self._batch).tolist()
-            values.reverse()
-            self._values = values
-        return self._values.pop()
+# Requests expecting more preparation draws than this are sampled in
+# halves: a few MB at a time, unless one elementary link needs more.
+_SLICE_DRAWS = 2**16
+# Expected preparation draws of one elementary link above which a trial
+# cannot be sampled (2**26 int64 draws take 512 MiB).
+_MAX_LINK_DRAWS = 2**26
 
 
 def simulate_trial(
@@ -175,51 +102,56 @@ def simulate_trial(
     down the event accounting in tests: physical efficiencies cap each
     probability at 1/2, so e.g. the all-probabilities-1 case (one prep
     pulse, one flight per link, free swaps) is reachable only this way.
+    Raises SimulationGuardError if a stage probability is zero or one
+    link needs more than ``_MAX_LINK_DRAWS`` expected preparation draws.
     """
     p_l, p_0, p_sw = stage_probs if stage_probs is not None else _stage_probabilities(params)
     if p_l <= 0.0 or p_0 <= 0.0 or (params.n > 0 and p_sw <= 0.0):
         raise SimulationGuardError("a stage probability is zero; the simulation would not terminate")
+    if 2.0 / p_0 > _MAX_LINK_DRAWS:
+        raise SimulationGuardError(f"link success probability p_0 = {p_0:.3g} means 1/p_0 = {1.0 / p_0:.3g} "
+                                   f"expected launches per link, above the sampling limit {_MAX_LINK_DRAWS // 2}")
     rng = np.random.Generator(np.random.PCG64(seed))
     slot = 1.0 / params.r
     flight = params.l0 / params.c
-    n = params.n
 
-    chain = ChainState(n)
-    builds = _LinkBuildSampler(rng, p_l, p_0)
-    uniforms = _UniformPool(rng)
+    # Expected preparation draws of one link at each level.
+    link_draws = [2.0 / p_0]
+    for _ in range(params.n):
+        link_draws.append(link_draws[-1] * 2.0 / p_sw)
     prep_attempts = 0
     link_attempts = 0
-    swap_attempts = [0] * n
+    swap_attempts = [0] * params.n
 
-    def build_link(segment: int, start: float) -> float:
+    def durations(level: int, m: int) -> np.ndarray:
+        """Durations of ``m`` independent level-``level`` links.
+
+        Failed subtrees restart from scratch, so a link lasts the sum, over
+        its attempts, of the longer of two fresh links one level down.
+        """
         nonlocal prep_attempts, link_attempts
-        pulses, attempts, preps = builds.draw()
-        prep_attempts += preps
-        link_attempts += attempts
-        t = start + pulses * slot + attempts * flight
-        chain.mark_ready(0, segment, t)
-        return t
-
-    def build(level: int, segment: int, start: float) -> float:
+        if m > 1 and m * link_draws[level] > _SLICE_DRAWS:
+            half = m // 2
+            return np.concatenate((durations(level, half), durations(level, m - half)))
+        attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
+        total = int(attempts.sum())
+        starts = np.cumsum(attempts) - attempts
         if level == 0:
-            return build_link(segment, start)
-        t = start
-        while True:
-            t_left = build(level - 1, 2 * segment, t)
-            t_right = build(level - 1, 2 * segment + 1, t)
-            t = max(t_left, t_right)
-            swap_attempts[level - 1] += 1
-            chain.consume(level - 1, 2 * segment)
-            chain.consume(level - 1, 2 * segment + 1)
-            if policy.swap_comm_time:
-                t += 2 ** (level - 1) * params.l0 / params.c
-            if uniforms.draw() < p_sw:
-                chain.mark_ready(level, segment, t)
-                return t
+            draws = rng.geometric(p_l, size=(2, total))
+            link_attempts += total
+            prep_attempts += int(draws.sum())
+            pulses = np.add.reduceat(np.maximum(draws[0], draws[1]), starts)
+            return pulses * slot + attempts * flight
+        swap_attempts[level - 1] += total
+        left, right = durations(level - 1, 2 * total).reshape(2, total)
+        rounds = np.maximum(left, right)
+        if policy.swap_comm_time:
+            rounds += 2 ** (level - 1) * flight
+        return np.add.reduceat(rounds, starts)
 
-    total = build(n, 0, 0.0)
+    total_time = float(durations(params.n, 1)[0])
     return TrialResult(
-        total_time=total,
+        total_time=total_time,
         counts=StageCounts(prep_attempts, link_attempts, tuple(swap_attempts)),
         seed=seed,
     )
@@ -244,7 +176,6 @@ class EstimateResult:
     link_attempts: int
     swap_attempts: tuple[int, ...]
     swap_comm_time: bool
-    parallel_restart: bool = True
 
     def to_record(self) -> dict:
         rec = {
@@ -261,7 +192,6 @@ class EstimateResult:
         for lvl, count in enumerate(self.swap_attempts, start=1):
             rec[f"swap_attempts_l{lvl}"] = count
         rec["swap_comm_time"] = self.swap_comm_time
-        rec["parallel_restart"] = self.parallel_restart
         return rec
 
 

@@ -105,8 +105,13 @@ def test_simulate_zero_trials_exits_2(capsys):
 
 
 def test_simulate_guard_exits_3(capsys):
-    code, _, err = run_cli(capsys, "simulate", *FAST_SIM, "--eta-d", "0")
-    assert code == 3
+    # A zero-probability stage, then p_0 ~ 1e-26 (n = 0) and ~ 1e-13
+    # (n = 1) over the default 1280 km: too small to sample.
+    for argv in ((*FAST_SIM, "--eta-d", "0"), ("--n", "0"), ("--n", "1")):
+        code, _, err = run_cli(capsys, "simulate", *argv)
+        assert code == 3
+        assert err.startswith("aborted:")
+        assert "Traceback" not in err
 
 
 def test_simulate_env_seed(monkeypatch, capsys):

@@ -6,7 +6,6 @@ import pytest
 from repeaterlab import rates
 from repeaterlab.core import paper_defaults
 from repeaterlab.sim import (
-    ChainState,
     SimPolicy,
     SimulationGuardError,
     compare_analytic,
@@ -98,17 +97,6 @@ def test_swap_comm_time_adds_delay():
     assert on.total_time == pytest.approx(off.total_time + min_extra, rel=1e-9)
 
 
-def test_chain_state_guards():
-    chain = ChainState(1)
-    chain.mark_ready(0, 0, 1.0)
-    with pytest.raises(RuntimeError):
-        chain.mark_ready(0, 0, 2.0)
-    chain.consume(0, 0)
-    with pytest.raises(RuntimeError):
-        chain.consume(0, 0)
-    assert chain.clock == 1.0
-
-
 # ---------------------------------------------------------------------------
 # estimate aggregation
 # ---------------------------------------------------------------------------
@@ -119,6 +107,15 @@ def test_single_trial_estimate():
     assert res.mean == trial.total_time
     assert res.std_error == 0.0
     assert res.p50 == trial.total_time
+
+    # estimate is the plain loop over per-trial seeds, so a replay of
+    # its trials reproduces its mean and attempt totals exactly.
+    res = estimate(N1, OFF, 25, 123)
+    trials = [simulate_trial(N1, OFF, derive_trial_seed(123, i)) for i in range(25)]
+    assert res.mean == float(np.mean([t.total_time for t in trials]))
+    assert res.prep_attempts == sum(t.counts.prep_attempts for t in trials)
+    assert res.link_attempts == sum(t.counts.link_attempts for t in trials)
+    assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in trials)))
 
 
 def test_estimate_percentiles_ordered():
@@ -140,7 +137,7 @@ def test_estimate_record_keys():
     rec = estimate(N1, OFF, 50, 3).to_record()
     for key in ("trials", "mean", "std_error", "p50", "p90", "p99",
                 "prep_attempts", "link_attempts", "swap_attempts",
-                "swap_attempts_l1", "swap_comm_time", "parallel_restart"):
+                "swap_attempts_l1", "swap_comm_time"):
         assert key in rec
 
 
