@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repeaterlab
 from repeaterlab.cli import main
 
 FAST_SIM = ["--l-km", "80", "--n", "0", "--trials", "400", "--seed", "7"]
@@ -256,3 +261,19 @@ def test_no_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_process_loads_no_scipy():
+    # The package runs on numpy alone; scipy is a test dependency.
+    src = str(Path(repeaterlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from repeaterlab.cli import main\n"
+        "assert main(['rates']) == 0\n"
+        "assert main(['bsm-verify', '--phases', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from repeaterlab import rates
 from repeaterlab.core import paper_defaults
 from repeaterlab.sim import (
+    _first_order,
     SimPolicy,
     SimulationGuardError,
     compare_analytic,
@@ -85,6 +90,24 @@ def test_zero_probability_guard():
         simulate_trial(N0.with_overrides(eta_d=0.0), OFF, 3)
     with pytest.raises(SimulationGuardError):
         estimate(N1.with_overrides(eta_e2=0.0), OFF, 10, 3)
+    # Stage probabilities given directly must lie in (0, 1].
+    with pytest.raises(ValueError, match="p_0"):
+        simulate_trial(N0, OFF, 3, stage_probs=(0.5, 1.5, 1.0))
+    with pytest.raises(ValueError, match="p_l"):
+        simulate_trial(N0, OFF, 3, stage_probs=(0.0, 0.5, 1.0))
+
+
+def test_single_link_draws_are_sliced():
+    # 2/p_0 = 4e6 expected preparation draws on one elementary link (32 MB
+    # as int64 if held at once) are reduced one slice at a time.
+    tracemalloc.start()
+    try:
+        res = simulate_trial(N0, OFF, 17, stage_probs=(0.5, 5e-7, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.counts.link_attempts > 2**15  # the sliced path ran
+    assert peak < 4 * 2**20
 
 
 def test_swap_comm_time_adds_delay():
@@ -169,6 +192,29 @@ def test_expected_pulses_markov_solve_matches_closed_form(p):
     # E[max of two iid geometrics] = 2/p - 1/(p(2-p))
     closed = 2.0 / p - 1.0 / (p * (2.0 - p))
     assert expected_pulses_both_ready(p) == pytest.approx(closed, rel=1e-12)
+
+
+@settings(deadline=None)
+@given(
+    a=st.floats(0.25, 1.0 - 1e-6),
+    n=st.integers(1, 20_000),
+    state=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_order_recursion_matches_lfilter(a, n, state, seed):
+    x = np.random.default_rng(seed).random(n)
+    expected, _ = lfilter([1.0], [1.0, -a], x, zi=[a * state])
+    np.testing.assert_allclose(_first_order(a, x, state), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("params, value", [
+    (N1, 0.24172615879469816),
+    (paper_defaults().with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0,
+                                     n=1, L=2.0, c=1.0, r=4.0, L_att=0.25), 545.1959813276652),
+])
+def test_oracle_n1_pinned_values(params, value):
+    # Values of the 0.2.0 oracle (scipy lfilter recursions, 1e-10 cutoff).
+    assert exact_expected_time_small(params, OFF) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_oracle_n0_closed_form_structure():
