@@ -380,8 +380,8 @@ def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> floa
     truncation of the survival series, which stops at S_u < 1e-5
     (S_u^2 < 1e-10) and adds a geometric tail.  It agrees with the
     0.2.0 oracle (scipy recursions, cutoff S_u < 1e-10) to about 1e-14
-    relative at n = 1 over 160 km.  The cost grows like 1/p_0 (about
-    0.6 s at 160 km; 320 km had not finished after 100 s).
+    relative at n = 1 over 160 km.  The cost grows like 1/p_0 (n = 1
+    takes about 0.6 s over 160 km and 57 s over 320 km).
     """
     if params.n > 1:
         raise ValueError("exact_expected_time_small supports n <= 1 only")
