@@ -10,9 +10,9 @@ from scipy.signal import lfilter
 from repeaterlab import rates
 from repeaterlab.core import paper_defaults
 from repeaterlab.sim import (
-    _first_order,
     SimPolicy,
     SimulationGuardError,
+    _first_order,
     compare_analytic,
     derive_trial_seed,
     estimate,
