@@ -360,6 +360,24 @@ def test_swap_pipeline_paper_defaults():
     assert report.fidelity == pytest.approx(1.0, abs=1e-9)
 
 
+PINNED_CORRECTION = "D2&D4:identity; D2&D3:z_flip; D1&D4:z_flip; D1&D3:identity"
+
+
+@pytest.mark.parametrize("pipeline, accept_prob, branch_count", [
+    (local_entanglement_pipeline, 0.0006643012499999996, 16),
+    (link_pipeline, 0.008643455106179903, 11),
+    (swap_pipeline, 0.32805, 9),
+])
+def test_pipeline_outputs_pinned(pipeline, accept_prob, branch_count):
+    # Values of version 0.3.0 at the paper defaults.
+    report = pipeline(paper_defaults())
+    assert report.accept_prob == pytest.approx(accept_prob, rel=1e-14)
+    assert report.fidelity == pytest.approx(1.0, rel=1e-14)
+    assert report.branch_count == branch_count
+    assert report.correction == PINNED_CORRECTION
+    assert len(report.patterns) == 13
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_matches_formulas_random_params(seed):
     rng = np.random.default_rng(1000 + seed)
