@@ -189,7 +189,7 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
 
     checks = []
 
-    unit = optics.BsmNetwork().unitary
+    unit = optics.BSM_UNITARY
     value = float(np.max(np.abs(unit.conj().T @ unit - np.eye(4))))
     checks.append(("bsm_unitarity", value, tol(1e-10)))
 

@@ -6,11 +6,13 @@ branches (every mixing source in the protocol -- storage vacuum terms,
 loss channels, dark counts -- is a probabilistic branch), which keeps the
 algebra exact and inner products cheap.
 
-Loss channels are implemented as a transmissivity-eta beamsplitter into a
-fresh environment mode followed by an eager trace-out, so the registry
-never grows from losses.  The default occupation cutoff is 2: the
-protocol post-selects at most two photons per detection stage, and
-double clicks at one detector need occupation 2.
+A loss channel of transmissivity eta splits each branch in closed form:
+the component that lost k of a mode's n photons carries the binomial
+amplitude sqrt(C(n, k) eta^(n-k) (1-eta)^k), so no environment mode is
+created and the registry never grows from losses.  Every mode's
+occupation is capped at ``D_MAX`` = 2: the protocol post-selects at most
+two photons per detection stage, and double clicks at one detector need
+occupation 2.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import numpy as np
 
 AMPLITUDE_PRUNE = 1e-14
 WEIGHT_PRUNE = 1e-12
-NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
-DEFAULT_D_MAX = 2
+D_MAX = 2
 
 
 class FockError(ValueError):
@@ -34,7 +35,7 @@ class FockError(ValueError):
 
 
 class CutoffExceededError(FockError):
-    """An operation tried to push a mode occupation past d_max."""
+    """An operation tried to push a mode occupation past D_MAX."""
 
 
 class RegistryMismatchError(FockError):
@@ -45,10 +46,9 @@ class RegistryMismatchError(FockError):
 class ModeId:
     """Label of one bosonic or collective mode.
 
-    Three families are used: collective ensemble modes (site, arm u/d,
-    species T/S), photonic modes (path, polarization H/V or None for a
-    bare path mode), and environment modes (only transiently, inside
-    loss channels).
+    Two families are used: collective ensemble modes (site, arm u/d,
+    species T/S) and photonic modes (path, polarization H/V or None for a
+    bare path mode).
     """
 
     kind: str
@@ -68,18 +68,12 @@ class ModeId:
             raise FockError(f"polarization must be 'H', 'V' or None, got {pol!r}")
         return cls("photon", (path, pol))
 
-    @classmethod
-    def environment(cls, index: int) -> "ModeId":
-        return cls("env", (index,))
-
     def __str__(self) -> str:
         if self.kind == "ensemble":
             site, arm, species = self.tags
             return f"{species}[{site}.{arm}]"
-        if self.kind == "photon":
-            path, pol = self.tags
-            return f"ph[{path}.{pol}]" if pol else f"ph[{path}]"
-        return f"env[{self.tags[0]}]"
+        path, pol = self.tags
+        return f"ph[{path}.{pol}]" if pol else f"ph[{path}]"
 
 
 class ModeRegistry:
@@ -131,29 +125,28 @@ class PureState:
     does not normalize -- callers normalize where the contract needs it.
     """
 
-    __slots__ = ("registry", "amps", "d_max")
+    __slots__ = ("registry", "amps")
 
-    def __init__(self, registry: ModeRegistry, amps: dict, d_max: int = DEFAULT_D_MAX):
+    def __init__(self, registry: ModeRegistry, amps: dict):
         self.registry = registry
-        self.d_max = d_max
         clean: dict[tuple, complex] = {}
         nmodes = len(registry)
         for occ, amp in amps.items():
             if len(occ) != nmodes:
                 raise FockError(f"occupation vector {occ} does not match registry size {nmodes}")
-            if any(o < 0 or o > d_max for o in occ):
-                raise CutoffExceededError(f"occupation {occ} outside [0, {d_max}]")
+            if any(o < 0 or o > D_MAX for o in occ):
+                raise CutoffExceededError(f"occupation {occ} outside [0, {D_MAX}]")
             a = complex(amp)
             if abs(a) >= AMPLITUDE_PRUNE:
                 clean[tuple(occ)] = a
         self.amps = clean
 
     @classmethod
-    def vacuum(cls, registry: ModeRegistry, d_max: int = DEFAULT_D_MAX) -> "PureState":
+    def vacuum(cls, registry: ModeRegistry) -> "PureState":
         """All-modes-empty state |0...0>."""
         if len(registry) == 0:
             raise FockError("vacuum needs a nonempty registry")
-        return cls(registry, {(0,) * len(registry): 1.0}, d_max)
+        return cls(registry, {(0,) * len(registry): 1.0})
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
@@ -162,7 +155,7 @@ class PureState:
         nrm = self.norm()
         if nrm == 0.0:
             raise FockError("cannot normalize the zero state")
-        return PureState(self.registry, {o: a / nrm for o, a in self.amps.items()}, self.d_max)
+        return PureState(self.registry, {o: a / nrm for o, a in self.amps.items()})
 
     def amplitude(self, occ) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
@@ -174,11 +167,11 @@ class PureState:
         out: dict[tuple, complex] = {}
         for occ, amp in self.amps.items():
             n = occ[i]
-            if n + 1 > self.d_max:
-                raise CutoffExceededError(f"create on {mode} exceeds d_max={self.d_max}")
+            if n + 1 > D_MAX:
+                raise CutoffExceededError(f"create on {mode} exceeds D_MAX={D_MAX}")
             new = occ[:i] + (n + 1,) + occ[i + 1:]
             out[new] = out.get(new, 0.0) + amp * math.sqrt(n + 1)
-        return PureState(self.registry, out, self.d_max)
+        return PureState(self.registry, out)
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>."""
@@ -196,8 +189,8 @@ class PureState:
     def apply_linear_map(self, modes, u) -> "PureState":
         """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given modes.
 
-        ``u`` must be unitary within ``UNITARY_TOL``; only photonic and
-        environment modes may be mixed.  Norm and total photon number in
+        ``u`` must be unitary within ``UNITARY_TOL``; only photonic modes
+        may be mixed.  Norm and total photon number in
         the mapped modes are preserved.
         """
         modes = list(modes)
@@ -209,7 +202,7 @@ class PureState:
             raise FockError("matrix is not unitary within tolerance")
         for m in modes:
             if m.kind == "ensemble":
-                raise FockError("linear maps act on photonic/environment modes only")
+                raise FockError("linear maps act on photonic modes only")
         idxs = [self.registry.index(m) for m in modes]
         if len(set(idxs)) != k:
             raise FockError("mapped modes must be distinct")
@@ -232,14 +225,14 @@ class PureState:
                                 continue
                             j = idxs[row]
                             m_occ = occ2[j]
-                            if m_occ + 1 > self.d_max:
-                                raise CutoffExceededError("linear map pushed occupation past d_max")
+                            if m_occ + 1 > D_MAX:
+                                raise CutoffExceededError("linear map pushed occupation past D_MAX")
                             new = occ2[:j] + (m_occ + 1,) + occ2[j + 1:]
                             nxt[new] = nxt.get(new, 0.0) + a2 * coeff * math.sqrt(m_occ + 1)
                     terms = nxt
             for occ3, a3 in terms.items():
                 out[occ3] = out.get(occ3, 0.0) + a3
-        return PureState(self.registry, out, self.d_max)
+        return PureState(self.registry, out)
 
     def dump(self) -> str:
         """Debug listing: one line per term, "occupations TAB re TAB im"."""
@@ -273,7 +266,7 @@ class WeightedEnsemble:
 
     __slots__ = ("registry", "branches")
 
-    def __init__(self, branches, merge: bool = True):
+    def __init__(self, branches):
         branches = [(float(w), s) for w, s in branches if w > WEIGHT_PRUNE]
         if not branches:
             raise FockError("ensemble needs at least one branch with positive weight")
@@ -281,16 +274,15 @@ class WeightedEnsemble:
         for _, state in branches:
             if state.registry != registry:
                 raise RegistryMismatchError("all ensemble branches must share one registry")
-        if merge:
-            grouped: dict[tuple, list] = {}
-            for w, s in branches:
-                key = tuple(sorted(s.amps.items()))
-                entry = grouped.get(key)
-                if entry is None:
-                    grouped[key] = [w, s]
-                else:
-                    entry[0] += w
-            branches = [(w, s) for w, s in grouped.values()]
+        grouped: dict[tuple, list] = {}
+        for w, s in branches:
+            key = tuple(sorted(s.amps.items()))
+            entry = grouped.get(key)
+            if entry is None:
+                grouped[key] = [w, s]
+            else:
+                entry[0] += w
+        branches = [(w, s) for w, s in grouped.values()]
         total = sum(w for w, _ in branches)
         self.registry = registry
         self.branches = tuple((w / total, s) for w, s in branches)
@@ -309,7 +301,6 @@ class WeightedEnsemble:
     def tensor(self, other: "WeightedEnsemble") -> "WeightedEnsemble":
         """Tensor product over the concatenated registries."""
         registry = ModeRegistry(self.registry.modes + other.registry.modes)
-        d_max = self.branches[0][1].d_max
         out = []
         for w1, s1 in self.branches:
             for w2, s2 in other.branches:
@@ -317,16 +308,15 @@ class WeightedEnsemble:
                 for o1, a1 in s1.amps.items():
                     for o2, a2 in s2.amps.items():
                         amps[o1 + o2] = a1 * a2
-                out.append((w1 * w2, PureState(registry, amps, d_max)))
+                out.append((w1 * w2, PureState(registry, amps)))
         return WeightedEnsemble(out)
 
     def apply_loss(self, mode: ModeId, eta: float) -> "WeightedEnsemble":
         """Photon loss of transmissivity eta on one mode.
 
-        Equivalent to a beamsplitter of transmissivity eta into a fresh
-        environment mode that is traced out immediately: each branch
-        splits into orthogonal components labelled by the number of
-        photons lost.
+        Each branch splits into orthogonal components labelled by the
+        number k of photons lost, with binomial amplitudes (a beamsplitter
+        into an environment mode that is traced out, in closed form).
         """
         if not 0.0 <= eta <= 1.0:
             raise FockError(f"transmissivity must be in [0, 1], got {eta}")
@@ -344,7 +334,7 @@ class WeightedEnsemble:
                     comp = lost.setdefault(k, {})
                     comp[new] = comp.get(new, 0.0) + amp * coeff
             for comp in lost.values():
-                sub = PureState(self.registry, comp, state.d_max)
+                sub = PureState(self.registry, comp)
                 p = sub.norm() ** 2
                 if p > WEIGHT_PRUNE:
                     out.append((w * p, sub.normalized()))
@@ -367,7 +357,7 @@ class WeightedEnsemble:
                 comp = comps.setdefault(occ[i], {})
                 comp[occ[:i] + occ[i + 1:]] = amp
             for outcome, amps in comps.items():
-                sub = PureState(reduced, amps, state.d_max)
+                sub = PureState(reduced, amps)
                 p = sub.norm() ** 2
                 if p <= WEIGHT_PRUNE:
                     continue
@@ -400,12 +390,13 @@ _ATOM_LEVELS = ("g", "s", "t", "e")
 _PHOTON_CUTOFF = 2
 
 
-def _conversion_hamiltonian(g: float, omega: float, n_atoms: int) -> tuple[np.ndarray, list]:
+def _conversion_hamiltonian(g: float, omega: float, n_atoms: int) -> tuple[np.ndarray, dict]:
     """Full many-body matrix of the conversion Hamiltonian (hbar = 1).
 
     H = g a sum_i |e><s|_i + Omega sum_i |e><t|_i + h.c. over n_atoms
     four-level atoms and a quantized radiation mode (cutoff 2).
-    Returns the dense matrix and the ordered basis of (config, photons).
+    Returns the dense matrix and the index of each basis state
+    (config, photons).
     """
     basis = [(cfg, ph) for cfg in product(_ATOM_LEVELS, repeat=n_atoms) for ph in range(_PHOTON_CUTOFF + 1)]
     index = {b: i for i, b in enumerate(basis)}
@@ -433,7 +424,7 @@ def _conversion_hamiltonian(g: float, omega: float, n_atoms: int) -> tuple[np.nd
                 # h.c.: e -> t
                 new_cfg = cfg[:i] + ("t",) + cfg[i + 1:]
                 add((new_cfg, ph), (cfg, ph), omega)
-    return h, basis
+    return h, index
 
 
 def dark_state_residual(g: float, omega: float, n_atoms: int) -> float:
@@ -448,14 +439,13 @@ def dark_state_residual(g: float, omega: float, n_atoms: int) -> float:
         raise ValueError(f"n_atoms must be in [1, 4], got {n_atoms}")
     if g == 0.0 and omega == 0.0:
         raise ValueError("(g, omega) must not both be zero")
-    h, basis = _conversion_hamiltonian(g, omega, n_atoms)
-    index = {b: i for i, b in enumerate(basis)}
+    h, index = _conversion_hamiltonian(g, omega, n_atoms)
 
     scale = math.hypot(g, omega)
     cos_t = omega / scale
     sin_t = g / scale
 
-    vec = np.zeros(len(basis))
+    vec = np.zeros(len(index))
     ground = ("g",) * n_atoms
     for i in range(n_atoms):
         s_cfg = ground[:i] + ("s",) + ground[i + 1:]

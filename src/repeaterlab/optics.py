@@ -6,7 +6,9 @@ reflects V) feeding two diagonal-basis analyzers (transmit |+>, reflect
 only on the paired two-detector coincidences D1&D3 / D2&D4 (same class)
 or D1&D4 / D2&D3 (cross class); the cross class needs a phase flip on
 one memory qubit's d arm, which is computed here from the engine rather
-than assumed.
+than assumed.  The analyzer's input modes are the H/V polarizations of
+paths a and b (``BSM_INPUT_MODES``), and ``BSM_UNITARY`` is its composed
+mode map onto the detectors D1..D4.
 
 The three pipelines (local entanglement, elementary link, swap) compose
 the state constructors with loss channels and the analyzer, and report
@@ -88,39 +90,26 @@ def classify(pattern: DetectionPattern) -> BsmOutcome:
     return BsmOutcome.REJECT
 
 
-class BsmNetwork:
-    """Mode map of the four-detector Bell analyzer.
-
-    Input modes are the H/V polarizations of two paths; the composed
-    PBS + diagonal-analyzer map sends creation operators to the detector
-    modes (D1, D2, D3, D4) = (c+, c-, d+, d-), where arm c collects
-    transmitted-H / reflected-V light and arm d the complement.
-    """
-
-    def __init__(self, paths: tuple[str, str] = ("a", "b")):
-        self.paths = paths
-        self.input_modes = (
-            ModeId.photon(paths[0], "H"),
-            ModeId.photon(paths[0], "V"),
-            ModeId.photon(paths[1], "H"),
-            ModeId.photon(paths[1], "V"),
-        )
-        # Columns: input modes (aH, aV, bH, bV); rows: detectors D1..D4.
-        #   aH -> cH -> (D1 + D2)/sqrt2        aV -> dV -> (D3 - D4)/sqrt2
-        #   bH -> dH -> (D3 + D4)/sqrt2        bV -> cV -> (D1 - D2)/sqrt2
-        self.unitary = SQRT_HALF * np.array([
-            [1.0, 0.0, 0.0, 1.0],
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [0.0, -1.0, 1.0, 0.0],
-        ], dtype=complex)
-
-    def apply(self, ens: WeightedEnsemble) -> WeightedEnsemble:
-        """Apply the analyzer map; afterwards the four path modes carry
-        the detector-mode occupations in D1..D4 order."""
-        return WeightedEnsemble(
-            [(w, s.apply_linear_map(self.input_modes, self.unitary)) for w, s in ens.branches]
-        )
+# Input modes of the four-detector Bell analyzer.  After the composed
+# PBS + diagonal-analyzer map they carry the detector modes (D1, D2, D3,
+# D4) = (c+, c-, d+, d-), where arm c collects transmitted-H /
+# reflected-V light and arm d the complement.
+BSM_INPUT_MODES = (
+    ModeId.photon("a", "H"),
+    ModeId.photon("a", "V"),
+    ModeId.photon("b", "H"),
+    ModeId.photon("b", "V"),
+)
+# Columns: input modes (aH, aV, bH, bV); rows: detectors D1..D4.
+#   aH -> cH -> (D1 + D2)/sqrt2        aV -> dV -> (D3 - D4)/sqrt2
+#   bH -> dH -> (D3 + D4)/sqrt2        bV -> cV -> (D1 - D2)/sqrt2
+BSM_UNITARY = SQRT_HALF * np.array([
+    [1.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, -1.0],
+    [0.0, 1.0, 1.0, 0.0],
+    [0.0, -1.0, 1.0, 0.0],
+], dtype=complex)
+BSM_UNITARY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -133,12 +122,7 @@ class BsmResult:
     memory: WeightedEnsemble
 
 
-def apply_bsm(
-    photons: WeightedEnsemble,
-    eta_d: float,
-    p_d: float = 0.0,
-    paths: tuple[str, str] = ("a", "b"),
-) -> list[BsmResult]:
+def apply_bsm(photons: WeightedEnsemble, eta_d: float, p_d: float = 0.0) -> list[BsmResult]:
     """Run the Bell analyzer: mode map, detector loss, number-resolved
     measurement of all four detectors, then optional dark counts.
 
@@ -147,13 +131,14 @@ def apply_bsm(
     pattern is then the probability-weighted mixture over the compatible
     real patterns.  Pattern probabilities sum to 1.
     """
-    net = BsmNetwork(paths)
-    ens = net.apply(photons)
-    for mode in net.input_modes:
+    ens = WeightedEnsemble(
+        [(w, s.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)) for w, s in photons.branches]
+    )
+    for mode in BSM_INPUT_MODES:
         ens = ens.apply_loss(mode, eta_d)
 
     partial: list[tuple[tuple[int, ...], float, WeightedEnsemble]] = [((), 1.0, ens)]
-    for mode in net.input_modes:
+    for mode in BSM_INPUT_MODES:
         grown = []
         for counts, prob, state in partial:
             for mo in state.measure_number(mode):
@@ -187,14 +172,10 @@ def apply_bsm(
 # Protocol state constructors
 # ---------------------------------------------------------------------------
 
-def input_mode_registry(site: str) -> ModeRegistry:
-    return ModeRegistry((ModeId.photon(f"{site}.u_in"), ModeId.photon(f"{site}.d_in")))
-
-
 def input_photon_state(phi: float, site: str = "L") -> PureState:
     """Split-photon input state (|0>_u|1>_d + e^{i phi} |1>_u|0>_d)/sqrt2
     over the two path modes feeding one node's ensembles."""
-    registry = input_mode_registry(site)
+    registry = ModeRegistry((ModeId.photon(f"{site}.u_in"), ModeId.photon(f"{site}.d_in")))
     return PureState(registry, {
         (0, 1): SQRT_HALF,
         (1, 0): SQRT_HALF * cmath.exp(1j * phi),
@@ -234,85 +215,55 @@ def store_to_memory(photon: PureState, eta_p: float, eta_s: float, site: str = "
     return WeightedEnsemble(branches)
 
 
-def retrieve_t_to_s(
-    memory: WeightedEnsemble,
-    eta_e1: float,
-    site_paths: dict[str, str],
-) -> WeightedEnsemble:
-    """Convert T excitations to S excitations plus anti-Stokes photons.
+def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], species: str) -> WeightedEnsemble:
+    """Emit one photon per ``species`` excitation of the named sites.
 
-    For every site in ``site_paths``, T(u) -> S(u) with an H photon on
-    the site's path and T(d) -> S(d) with a V photon; each new photon
-    then passes a transmissivity-``eta_e1`` loss channel.
+    For every site in ``site_paths``, the u ensemble emits an H photon and
+    the d ensemble a V photon on the site's path; each new photon then
+    passes a transmissivity-``eta`` loss channel.  A converted T mode
+    becomes the S mode of the same arm; a converted S mode leaves the
+    registry.
     """
-    conversions = []
+    converted = {}  # registry index -> emitted photon mode
     for site, path in site_paths.items():
         for arm, pol in (("u", "H"), ("d", "V")):
-            t_mode = ModeId.ensemble(site, arm, "T")
-            if t_mode not in memory.registry:
-                raise OpticsError(f"memory has no T mode for site {site!r} arm {arm!r}")
-            conversions.append((t_mode, ModeId.ensemble(site, arm, "S"), ModeId.photon(path, pol)))
-
-    substitution = {t: s for t, s, _ in conversions}
-    photon_modes = tuple(p for _, _, p in conversions)
-    new_registry = ModeRegistry(
-        tuple(substitution.get(m, m) for m in memory.registry) + photon_modes
-    )
-    t_idx = [memory.registry.index(t) for t, _, _ in conversions]
+            mode = ModeId.ensemble(site, arm, species)
+            if mode not in memory.registry:
+                raise OpticsError(f"memory has no {species} mode for site {site!r} arm {arm!r}")
+            converted[memory.registry.index(mode)] = ModeId.photon(path, pol)
+    kept = [
+        (i, ModeId.ensemble(*m.tags[:2], "S") if i in converted else m)
+        for i, m in enumerate(memory.registry)
+        if species == "T" or i not in converted
+    ]
+    keep_idx = [i for i, _ in kept]
+    new_registry = ModeRegistry(tuple(m for _, m in kept) + tuple(converted.values()))
 
     branches = []
     for w, state in memory.branches:
         amps = {}
         for occ, amp in state.amps.items():
-            emitted = tuple(occ[i] for i in t_idx)
+            emitted = tuple(occ[i] for i in converted)
             if any(o > 1 for o in emitted):
-                raise OpticsError("conversion supports at most one excitation per T mode")
-            amps[occ + emitted] = amp
-        branches.append((w, PureState(new_registry, amps, state.d_max)))
+                raise OpticsError(f"conversion supports at most one excitation per {species} mode")
+            amps[tuple(occ[i] for i in keep_idx) + emitted] = amp
+        branches.append((w, PureState(new_registry, amps)))
     ens = WeightedEnsemble(branches)
-    for mode in photon_modes:
-        ens = ens.apply_loss(mode, eta_e1)
+    for mode in converted.values():
+        ens = ens.apply_loss(mode, eta)
     return ens
 
 
-def retrieve_s_to_photon(
-    memory: WeightedEnsemble,
-    eta_e2: float,
-    site_paths: dict[str, str],
-) -> WeightedEnsemble:
-    """Convert the named sites' S excitations into photons (H from the u
-    ensemble, V from the d ensemble) with a transmissivity-``eta_e2``
-    loss channel; the S modes leave the registry."""
-    conversions = []
-    for site, path in site_paths.items():
-        for arm, pol in (("u", "H"), ("d", "V")):
-            s_mode = ModeId.ensemble(site, arm, "S")
-            if s_mode not in memory.registry:
-                raise OpticsError(f"memory has no S mode for site {site!r} arm {arm!r}")
-            conversions.append((s_mode, ModeId.photon(path, pol)))
+def retrieve_t_to_s(memory: WeightedEnsemble, eta_e1: float, site_paths: dict[str, str]) -> WeightedEnsemble:
+    """T -> S conversion with anti-Stokes emission at efficiency ``eta_e1``:
+    T(u) -> S(u) plus an H photon, T(d) -> S(d) plus a V photon."""
+    return _convert(memory, eta_e1, site_paths, "T")
 
-    s_idx = [memory.registry.index(s) for s, _ in conversions]
-    s_set = set(s_idx)
-    keep_idx = [i for i in range(len(memory.registry)) if i not in s_set]
-    photon_modes = tuple(p for _, p in conversions)
-    new_registry = ModeRegistry(
-        tuple(memory.registry.modes[i] for i in keep_idx) + photon_modes
-    )
 
-    branches = []
-    for w, state in memory.branches:
-        amps = {}
-        for occ, amp in state.amps.items():
-            emitted = tuple(occ[i] for i in s_idx)
-            if any(o > 1 for o in emitted):
-                raise OpticsError("retrieval supports at most one excitation per S mode")
-            kept = tuple(occ[i] for i in keep_idx)
-            amps[kept + emitted] = amp
-        branches.append((w, PureState(new_registry, amps, state.d_max)))
-    ens = WeightedEnsemble(branches)
-    for mode in photon_modes:
-        ens = ens.apply_loss(mode, eta_e2)
-    return ens
+def retrieve_s_to_photon(memory: WeightedEnsemble, eta_e2: float, site_paths: dict[str, str]) -> WeightedEnsemble:
+    """S -> photon retrieval at efficiency ``eta_e2`` (H from the u
+    ensemble, V from the d ensemble); the S modes leave the registry."""
+    return _convert(memory, eta_e2, site_paths, "S")
 
 
 def pme_state(registry: ModeRegistry, site_a: str, site_b: str) -> PureState:
@@ -357,12 +308,12 @@ def corrected_fidelity(
     memory: WeightedEnsemble,
     outcome: BsmOutcome,
     target: PureState,
-    d_mode: ModeId | None = None,
 ) -> tuple[float, Correction]:
     """Fidelity to ``target`` maximized over a free phase on one qubit's
     d arm (which subsumes the discrete identity / Z-flip correction set).
 
-    For a phase alpha on ``d_mode``, F(alpha) = sum_b w_b |c0_b +
+    The phase acts on the registry's first d-arm ensemble mode.  For a
+    phase alpha there, F(alpha) = sum_b w_b |c0_b +
     e^{i alpha} c1_b|^2 with c_n the target overlap restricted to d-arm
     occupation n; the maximum and its maximizer are closed-form.
     """
@@ -370,12 +321,10 @@ def corrected_fidelity(
         raise OpticsError("corrected_fidelity is undefined for rejected patterns")
     if target.registry != memory.registry:
         raise OpticsError("target registry differs from memory registry")
-    if d_mode is None:
-        candidates = [m for m in memory.registry if m.kind == "ensemble" and m.tags[1] == "d"]
-        if not candidates:
-            raise OpticsError("memory registry has no d-arm ensemble mode")
-        d_mode = candidates[0]
-    d_idx = memory.registry.index(d_mode)
+    candidates = [m for m in memory.registry if m.kind == "ensemble" and m.tags[1] == "d"]
+    if not candidates:
+        raise OpticsError("memory registry has no d-arm ensemble mode")
+    d_idx = memory.registry.index(candidates[0])
 
     base = 0.0
     z = 0.0 + 0.0j
@@ -441,7 +390,13 @@ class PipelineReport:
         }
 
 
-def _heralded_report(results: list[BsmResult], target: PureState, branch_count: int) -> PipelineReport:
+def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_b: str) -> PipelineReport:
+    """Bell analyzer on ``photons`` (no dark counts: they are handled
+    analytically in the rates layer), each accepting pattern's memory
+    scored against the maximally entangled state of ``site_a`` and
+    ``site_b``."""
+    results = apply_bsm(photons, eta_d)
+    target = pme_state(results[0].memory.registry, site_a, site_b)
     accept_prob = 0.0
     fidelities = []
     corrections = []
@@ -460,9 +415,21 @@ def _heralded_report(results: list[BsmResult], target: PureState, branch_count: 
         accept_prob=accept_prob,
         fidelity=min(fidelities) if fidelities else 0.0,
         correction="; ".join(corrections) if corrections else "none",
-        branch_count=branch_count,
+        branch_count=photons.branch_count,
         patterns=tuple(reports),
     )
+
+
+def _inner_qubits_to_light(eta_e2: float, pair_a: tuple[str, str], pair_b: tuple[str, str]) -> WeightedEnsemble:
+    """Two ideal pairs (outer, inner) and (inner, outer) with the inner
+    qubits retrieved to light on paths a and b."""
+    ens_a, ens_b = (
+        WeightedEnsemble.from_pure(
+            pme_state(ModeRegistry(memory_registry(x, "S").modes + memory_registry(y, "S").modes), x, y)
+        )
+        for x, y in (pair_a, pair_b)
+    )
+    return retrieve_s_to_photon(ens_a.tensor(ens_b), eta_e2, {pair_a[1]: "a", pair_b[0]: "b"})
 
 
 def local_entanglement_pipeline(
@@ -473,19 +440,13 @@ def local_entanglement_pipeline(
     """Local entanglement between the two memory qubits of one node.
 
     Split-photon storage at sites L and R, T -> S conversion with
-    anti-Stokes emission, and the Bell analyzer on the two photons;
-    dark counts are excluded here (they are handled analytically in the
-    rates layer).  The conditional memory is compared against the
-    four-S-mode target state.
+    anti-Stokes emission, and the Bell analyzer on the two photons.  The
+    conditional memory is compared against the four-S-mode target state.
     """
     mem_l = store_to_memory(input_photon_state(phi_l, "L"), params.eta_p, params.eta_s, "L")
     mem_r = store_to_memory(input_photon_state(phi_r, "R"), params.eta_p, params.eta_s, "R")
-    ens = mem_l.tensor(mem_r)
-    ens = retrieve_t_to_s(ens, params.eta_e1, {"L": "a", "R": "b"})
-    branch_count = ens.branch_count
-    results = apply_bsm(ens, params.eta_d, p_d=0.0)
-    target = pme_state(results[0].memory.registry, "L", "R")
-    return _heralded_report(results, target, branch_count)
+    ens = retrieve_t_to_s(mem_l.tensor(mem_r), params.eta_e1, {"L": "a", "R": "b"})
+    return _heralded_report(ens, params.eta_d, "L", "R")
 
 
 def link_pipeline(params: ProtocolParams) -> PipelineReport:
@@ -496,21 +457,11 @@ def link_pipeline(params: ProtocolParams) -> PipelineReport:
     (transmission exp(-L_0 / (2 L_att))), and the analyzer heralds the
     outer-qubit pair A_L--B_R.
     """
-    pme_a = WeightedEnsemble.from_pure(
-        pme_state(ModeRegistry(memory_registry("A_L", "S").modes + memory_registry("A_R", "S").modes), "A_L", "A_R")
-    )
-    pme_b = WeightedEnsemble.from_pure(
-        pme_state(ModeRegistry(memory_registry("B_L", "S").modes + memory_registry("B_R", "S").modes), "B_L", "B_R")
-    )
-    ens = pme_a.tensor(pme_b)
-    ens = retrieve_s_to_photon(ens, params.eta_e2, {"A_R": "a", "B_L": "b"})
+    ens = _inner_qubits_to_light(params.eta_e2, ("A_L", "A_R"), ("B_L", "B_R"))
     eta_t = fiber_transmission(params.l0, params.L_att)
-    for path, pol in (("a", "H"), ("a", "V"), ("b", "H"), ("b", "V")):
-        ens = ens.apply_loss(ModeId.photon(path, pol), eta_t)
-    branch_count = ens.branch_count
-    results = apply_bsm(ens, params.eta_d, p_d=0.0)
-    target = pme_state(results[0].memory.registry, "A_L", "B_R")
-    return _heralded_report(results, target, branch_count)
+    for mode in BSM_INPUT_MODES:
+        ens = ens.apply_loss(mode, eta_t)
+    return _heralded_report(ens, params.eta_d, "A_L", "B_R")
 
 
 def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
@@ -534,7 +485,7 @@ def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
     for name, occupation in components.items():
         ens = WeightedEnsemble.from_pure(PureState(registry, {occupation: 1.0}))
         ens = retrieve_t_to_s(ens, params.eta_e1, {"L": "a", "R": "b"})
-        results = apply_bsm(ens, params.eta_d, p_d=0.0)
+        results = apply_bsm(ens, params.eta_d)
         out[name] = sum(
             res.probability for res in results if classify(res.pattern) is not BsmOutcome.REJECT
         )
@@ -545,15 +496,5 @@ def swap_pipeline(params: ProtocolParams) -> PipelineReport:
     """Entanglement swap at middle node B, connecting A--B and B--C pairs
     into an A--C pair over doubled distance (no fiber loss: the photons
     are detected locally at B)."""
-    pme_ab = WeightedEnsemble.from_pure(
-        pme_state(ModeRegistry(memory_registry("A", "S").modes + memory_registry("B_L", "S").modes), "A", "B_L")
-    )
-    pme_bc = WeightedEnsemble.from_pure(
-        pme_state(ModeRegistry(memory_registry("B_R", "S").modes + memory_registry("C", "S").modes), "B_R", "C")
-    )
-    ens = pme_ab.tensor(pme_bc)
-    ens = retrieve_s_to_photon(ens, params.eta_e2, {"B_L": "a", "B_R": "b"})
-    branch_count = ens.branch_count
-    results = apply_bsm(ens, params.eta_d, p_d=0.0)
-    target = pme_state(results[0].memory.registry, "A", "C")
-    return _heralded_report(results, target, branch_count)
+    ens = _inner_qubits_to_light(params.eta_e2, ("A", "B_L"), ("B_R", "C"))
+    return _heralded_report(ens, params.eta_d, "A", "C")

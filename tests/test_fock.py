@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from repeaterlab.fock import (
+    D_MAX,
     CutoffExceededError,
     FockError,
     ModeId,
@@ -23,11 +24,11 @@ def two_modes():
     return ModeRegistry((ModeId.photon("a"), ModeId.photon("b")))
 
 
-def random_state(registry, rng, d_max=2):
+def random_state(registry, rng):
     amps = {}
-    for occ in np.ndindex(*(d_max + 1,) * len(registry)):
+    for occ in np.ndindex(*(D_MAX + 1,) * len(registry)):
         amps[tuple(int(o) for o in occ)] = complex(rng.normal(), rng.normal())
-    return PureState(registry, amps, d_max).normalized()
+    return PureState(registry, amps).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def test_linear_map_preserves_norm_and_photon_number(seed):
     amps = {}
     for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
         amps[occ] = complex(rng.normal(), rng.normal())
-    state = PureState(reg, amps, d_max=2).normalized()
+    state = PureState(reg, amps).normalized()
     out = state.apply_linear_map(reg.modes, u)
     assert out.norm() == pytest.approx(1.0, abs=1e-10)
     total_in = sum(sum(occ) * abs(a) ** 2 for occ, a in state.amps.items())

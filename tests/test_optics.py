@@ -8,7 +8,7 @@ from repeaterlab import rates
 from repeaterlab.core import paper_defaults
 from repeaterlab.fock import ModeId, ModeRegistry, PureState, WeightedEnsemble
 from repeaterlab.optics import (
-    BsmNetwork,
+    BSM_UNITARY,
     BsmOutcome,
     DetectionPattern,
     OpticsError,
@@ -174,7 +174,7 @@ def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
 # ---------------------------------------------------------------------------
 
 def test_network_unitary():
-    u = BsmNetwork().unitary
+    u = BSM_UNITARY
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
 
 
