@@ -6,8 +6,8 @@ Subcommands: ``rates``, ``simulate``, ``sweep``, ``bsm-verify``,
 values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
-sampling guard (a zero-probability stage, or a link success probability
-too small to sample).  Flag overrides take precedence over the config
+guard (a zero-probability stage, a total time or bound that is not a
+finite float, or a link success probability too small to sample).  Flag overrides take precedence over the config
 file, which takes precedence over the paper defaults.  REPEATERLAB_SEED
 provides the default seed (the --seed flag wins).
 """
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except sim.SimulationGuardError as exc:
+    except rates.GuardError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -50,7 +50,7 @@ class ProtocolParams:
     @property
     def l0(self) -> float:
         """Elementary link length L / 2**n, km (exact in binary floats)."""
-        return self.L / 2**self.n
+        return math.ldexp(self.L, -self.n)
 
     def with_overrides(self, **kwargs) -> "ProtocolParams":
         return replace(self, **kwargs)

@@ -13,6 +13,11 @@ import math
 from .core import ProtocolParams, RateReport
 
 
+class GuardError(ValueError):
+    """The chain cannot be evaluated or sampled: a stage probability is
+    zero or too small to sample, or a time is not a finite float."""
+
+
 def fiber_transmission(l0: float, l_att: float) -> float:
     """Single-photon fiber transmission exp(-l0 / (2 l_att)) to the
     midpoint of a length-l0 link."""
@@ -53,19 +58,36 @@ def delta_f(n: int, p_d: float) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not 0.0 <= p_d < 1.0:
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
-    return 2.0 ** (n + 1) * p_d
+    try:
+        return math.ldexp(p_d, n + 1)
+    except OverflowError:
+        raise GuardError(f"the dark-count bound 2^{n + 1} p_d overflows a float") from None
+
+
+def stage_probabilities(params: ProtocolParams) -> tuple[float, float, float]:
+    """(p_l, p_0, p_swap); raises GuardError if a stage the chain uses
+    never succeeds."""
+    pl, p0, psw = p_local(params), p_link(params), p_swap(params)
+    if pl == 0.0 or p0 == 0.0 or (params.n > 0 and psw == 0.0):
+        raise GuardError(f"a stage probability is zero (p_l = {pl}, p_0 = {p0}, p_swap = {psw}); "
+                         "the total time diverges")
+    return pl, p0, psw
 
 
 def t_total(params: ProtocolParams) -> RateReport:
-    """Full analytic report; total time is (L_0/c + T_l) / (p_0 p_swap**n)."""
+    """Full analytic report; total time is (L_0/c + T_l) / (p_0 p_swap**n).
+
+    Raises GuardError if a stage probability is zero or the total time is
+    not a finite float.
+    """
     eta_t = fiber_transmission(params.l0, params.L_att)
-    pl = p_local(params)
-    p0 = p_link(params)
-    psw = p_swap(params)
-    if pl == 0.0 or p0 == 0.0 or (params.n > 0 and psw == 0.0):
-        raise ValueError("a stage probability is zero; total time diverges")
+    pl, p0, psw = stage_probabilities(params)
     tl = 1.0 / (params.r * pl)
     t0 = params.l0 / params.c + tl
+    denominator = p0 * psw ** params.n
+    total = t0 / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(total):
+        raise GuardError(f"the total time t_0 / (p_0 p_swap^n) at n = {params.n} is not a finite float")
     return RateReport(
         eta_t=eta_t,
         p_l=pl,
@@ -73,7 +95,7 @@ def t_total(params: ProtocolParams) -> RateReport:
         p_swap=psw,
         t_l=tl,
         t_0=t0,
-        t_total=t0 / (p0 * psw ** params.n),
+        t_total=total,
         delta_f=delta_f(params.n, params.p_d),
     )
 
@@ -83,7 +105,7 @@ def balance_rate(params: ProtocolParams) -> float:
     communication time: t_local(r*) == L_0 / c."""
     pl = p_local(params)
     if pl == 0.0 or params.l0 <= 0.0:
-        raise ValueError("degenerate parameters: balance rate undefined")
+        raise GuardError(f"balance rate undefined at p_l = {pl}, L_0 = {params.l0} km")
     return params.c / (params.l0 * pl)
 
 

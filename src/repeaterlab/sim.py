@@ -38,8 +38,9 @@ from . import rates
 from .core import ProtocolParams
 
 
-class SimulationGuardError(RuntimeError):
-    """A stage probability is zero or too small for the chain to be sampled."""
+# A stage probability is zero or too small for the chain to be sampled;
+# the closed forms raise the same type.
+SimulationGuardError = rates.GuardError
 
 
 @dataclass(frozen=True)
@@ -65,22 +66,12 @@ class TrialResult:
 
     total_time: float
     counts: StageCounts
-    seed: int
 
 
 def derive_trial_seed(root_seed: int, index: int) -> int:
     """Deterministic 64-bit substream seed for trial ``index``."""
     ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _stage_probabilities(params: ProtocolParams) -> tuple[float, float, float]:
-    p_l = rates.p_local(params)
-    p_0 = rates.p_link(params)
-    p_sw = rates.p_swap(params)
-    if p_l == 0.0 or p_0 == 0.0 or (params.n > 0 and p_sw == 0.0):
-        raise SimulationGuardError("a stage probability is zero; the simulation would not terminate")
-    return p_l, p_0, p_sw
 
 
 # Requests expecting more preparation draws than this are sampled in
@@ -108,7 +99,7 @@ def simulate_trial(
     link needs more than ``_MAX_LINK_DRAWS`` expected preparation draws.
     """
     if stage_probs is None:
-        p_l, p_0, p_sw = _stage_probabilities(params)
+        p_l, p_0, p_sw = rates.stage_probabilities(params)
     else:
         for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
             if not 0.0 < p <= 1.0:
@@ -163,7 +154,6 @@ def simulate_trial(
     return TrialResult(
         total_time=total_time,
         counts=StageCounts(prep_attempts, link_attempts, tuple(swap_attempts)),
-        seed=seed,
     )
 
 
@@ -387,7 +377,7 @@ def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> floa
         raise ValueError("exact_expected_time_small supports n <= 1 only")
     if policy.swap_comm_time:
         raise ValueError("exact_expected_time_small requires swap_comm_time off")
-    p_l, p_0, p_sw = _stage_probabilities(params)
+    p_l, p_0, p_sw = rates.stage_probabilities(params)
 
     slot = 1.0 / params.r
     flight = params.l0 / params.c

@@ -119,6 +119,22 @@ def test_simulate_guard_exits_3(capsys):
         assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("rates", "--eta-d", "0"),
+    ("sweep", "--param", "eta_d", "--from", "0", "--to", "0.5", "--steps", "3"),
+    ("reproduce-paper", "--eta-e1", "0"),
+    ("rates", "--n", "700"),  # p_swap**n underflows to 0
+    ("rates", "--n", "1050", "--eta-e2", "1", "--eta-d", "1"),  # 2**n overflows a float
+])
+def test_analytic_guard_exits_3(capsys, argv):
+    # validate() accepts each parameter set; the closed forms cannot be evaluated.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("aborted:")
+    assert "Traceback" not in err
+
 def test_simulate_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("REPEATERLAB_SEED", "99")
     code, out, _ = run_cli(capsys, "simulate", "--l-km", "80", "--n", "0",
