@@ -169,6 +169,19 @@ def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
         assert all(sum(occ) == 0 for occ in s.amps)
 
 
+
+@pytest.mark.parametrize("retrieve, species, site, match", [
+    (retrieve_t_to_s, "T", "L", "at most one excitation"),
+    (retrieve_s_to_photon, "S", "L", "at most one excitation"),
+    (retrieve_t_to_s, "T", "X", "'X'"),
+    (retrieve_s_to_photon, "S", "X", "'X'"),
+])
+def test_retrieve_error_paths(retrieve, species, site, match):
+    # Two excitations in the L u-arm mode, or a site the memory lacks.
+    memory = WeightedEnsemble.from_pure(PureState(memory_registry("L", species), {(2, 0): 1.0}))
+    with pytest.raises(OpticsError, match=match):
+        retrieve(memory, 1.0, {site: "a"})
+
 # ---------------------------------------------------------------------------
 # Bell analyzer
 # ---------------------------------------------------------------------------
