@@ -6,10 +6,11 @@ Subcommands: ``rates``, ``simulate``, ``sweep``, ``bsm-verify``,
 values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
-guard (a zero-probability stage, a total time or bound that is not a
-finite float, or a link success probability too small to sample).  Flag overrides take precedence over the config
-file, which takes precedence over the paper defaults.  REPEATERLAB_SEED
-provides the default seed (the --seed flag wins).
+guard (a zero-probability stage, a time, rate or bound that is not a
+finite float, or a link success probability too small to sample).  Flag
+overrides take precedence over the config file, which takes precedence
+over the paper defaults.  REPEATERLAB_SEED provides the default seed
+(the --seed flag wins).
 """
 
 from __future__ import annotations

@@ -190,8 +190,8 @@ class PureState:
         """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given modes.
 
         ``u`` must be unitary within ``UNITARY_TOL``; only photonic modes
-        may be mixed.  Norm and total photon number in
-        the mapped modes are preserved.
+        may be mixed.  Norm and total photon number in the mapped modes
+        are preserved.
         """
         modes = list(modes)
         u = np.asarray(u, dtype=complex)

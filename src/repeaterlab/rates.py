@@ -15,7 +15,8 @@ from .core import ProtocolParams, RateReport
 
 class GuardError(ValueError):
     """The chain cannot be evaluated or sampled: a stage probability is
-    zero or too small to sample, or a time is not a finite float."""
+    zero or too small to sample, or a time, rate or bound is not a finite
+    float."""
 
 
 def fiber_transmission(l0: float, l_att: float) -> float:
@@ -104,9 +105,12 @@ def balance_rate(params: ProtocolParams) -> float:
     """Repetition rate at which local preparation time equals the fiber
     communication time: t_local(r*) == L_0 / c."""
     pl = p_local(params)
-    if pl == 0.0 or params.l0 <= 0.0:
-        raise GuardError(f"balance rate undefined at p_l = {pl}, L_0 = {params.l0} km")
-    return params.c / (params.l0 * pl)
+    denominator = params.l0 * pl
+    rate = params.c / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(rate):
+        raise GuardError(f"the balance rate c / (L_0 p_l) at L_0 = {params.l0} km, p_l = {pl} "
+                         "is not a finite float")
+    return rate
 
 
 def optimal_n(params: ProtocolParams, n_min: int, n_max: int) -> tuple[int, RateReport]:

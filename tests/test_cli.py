@@ -126,6 +126,7 @@ def test_simulate_guard_exits_3(capsys):
     ("reproduce-paper", "--eta-e1", "0"),
     ("rates", "--n", "700"),  # p_swap**n underflows to 0
     ("rates", "--n", "1050", "--eta-e2", "1", "--eta-d", "1"),  # 2**n overflows a float
+    ("reproduce-paper", "--l-km", "1e-320"),  # L_0 p_l underflows to 0
 ])
 def test_analytic_guard_exits_3(capsys, argv):
     # validate() accepts each parameter set; the closed forms cannot be evaluated.
