@@ -141,6 +141,20 @@ def test_single_trial_estimate():
     assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in trials)))
 
 
+@pytest.mark.parametrize("params, seed, mean, prep, link, swaps", [
+    (N0, 5, 0.04987217540816326, 164497609, 54480, ()),
+    (N1, 6, 0.24431987867346938, 1074331642, 357112, (1517,)),
+])
+def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
+    # Every level-0 request of these trials is small enough to be drawn
+    # pulse by pulse, so their values are fixed by the stream contract.
+    res = estimate(params, OFF, 500, seed)
+    assert res.mean == mean
+    assert res.prep_attempts == prep
+    assert res.link_attempts == link
+    assert res.swap_attempts == swaps
+
+
 def test_estimate_percentiles_ordered():
     res = estimate(N0, OFF, 2000, 5)
     assert res.p50 <= res.p90 <= res.p99
