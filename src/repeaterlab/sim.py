@@ -20,10 +20,14 @@ substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
 rerun is bit-for-bit identical.  Within a trial the stream runs
 top-down: one Geom(p_swap) attempt count per requested link at each
-level; then, per level-0 slice, the K ~ Geom(p_0) launch counts followed
-by the 2*sum(K) preparation draws, drawn in (2, _SLICE_DRAWS/2) pieces
-when a single link needs more than ``_SLICE_DRAWS``.  ``_SLICE_DRAWS``
-fixes the slicing.
+level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
+request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
+then draws them pulse by pulse; a larger one draws each link's sums
+from exact compound distributions: a gamma and a Poisson variate per
+link for the launches' minima, a binomial count of untied launches, and
+a gamma and a Poisson variate for their excess.  Requests expecting more
+than ``_SLICE_LINKS`` elementary links are sampled in halves.  The two
+constants fix the stream.
 """
 
 from __future__ import annotations
@@ -74,13 +78,50 @@ def derive_trial_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Requests expecting more preparation draws than this are sampled in
-# halves, and one elementary link that needs more draws them in pieces
-# of this size: a few MB at a time.
+# Requests expecting more elementary links than this are sampled in
+# halves, so a level-0 request holds at most this many links.
+_SLICE_LINKS = 2**16
+# A level-0 request needing more preparation draws than this draws each
+# link's sums from compound distributions instead of pulse by pulse.
 _SLICE_DRAWS = 2**16
-# Expected preparation draws of one elementary link above which a trial
-# cannot be sampled (2**26 draws take several seconds per link).
-_MAX_LINK_DRAWS = 2**26
+# Expected preparation draws 2/(p_l p_0) of one elementary link above
+# which a trial is refused.  Below it a link's expected draws, and so its
+# Poisson means (launches/p_l, expected 1/(p_l p_0) at most), stay below
+# 2^46, and the int64 sums over a level-0 request of at most
+# _SLICE_LINKS links stay below 2^16 * 2^46 = 2^62 in expectation.
+_MAX_LINK_DRAWS = 2**46
+# Expected elementary links (2/p_swap)^n of one trial above which it is
+# refused: about 5 s at about 0.3 us per link.
+_MAX_TRIAL_LINKS = 2**24
+
+
+def _negative_binomial(rng: np.random.Generator, k: np.ndarray, odds: float) -> np.ndarray:
+    """Failures before the k-th success, success probability p and
+    ``odds`` = (1-p)/p, as a gamma-Poisson mixture: 0 where k = 0 or
+    odds = 0, which ``Generator.negative_binomial`` rejects."""
+    return rng.poisson(rng.standard_gamma(k) * odds)
+
+
+def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pulse slots of links with ``launches`` launches each, and the
+    total preparation draws.
+
+    Each launch waits max(G1, G2) slots for iid Geom(p_l) preparations at
+    the two ends and counts G1 + G2 draws.  Up to ``_SLICE_DRAWS`` draws
+    are made one by one.  Above that each link's sums come from max =
+    min + [no tie] excess and G1 + G2 = 2 min + [no tie] excess, with
+    min ~ Geom(1 - q^2), P(no tie) = 2q/(2 - p_l), excess ~ Geom(p_l).
+    """
+    total = int(launches.sum())
+    if 2 * total <= _SLICE_DRAWS:
+        draws = rng.geometric(p_l, size=(2, total))
+        starts = np.cumsum(launches) - launches
+        return np.add.reduceat(np.maximum(draws[0], draws[1]), starts), int(draws.sum())
+    q = 1.0 - p_l
+    mins = launches + _negative_binomial(rng, launches, q * q / (p_l * (2.0 - p_l)))
+    untied = rng.binomial(launches, 2.0 * q / (2.0 - p_l))
+    excess = untied + _negative_binomial(rng, untied, q / p_l)
+    return mins + excess, 2 * int(mins.sum()) + int(excess.sum())
 
 
 def simulate_trial(
@@ -95,8 +136,9 @@ def simulate_trial(
     down the event accounting in tests: physical efficiencies cap each
     probability at 1/2, so e.g. the all-probabilities-1 case (one prep
     pulse, one flight per link, free swaps) is reachable only this way.
-    Raises SimulationGuardError if a stage probability is zero or one
-    link needs more than ``_MAX_LINK_DRAWS`` expected preparation draws.
+    Raises SimulationGuardError if a stage probability is zero, one
+    elementary link expects more than ``_MAX_LINK_DRAWS`` preparation
+    draws or a trial more than ``_MAX_TRIAL_LINKS`` elementary links.
     """
     if stage_probs is None:
         p_l, p_0, p_sw = rates.stage_probabilities(params)
@@ -105,17 +147,23 @@ def simulate_trial(
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
         p_l, p_0, p_sw = stage_probs
-    if 2.0 / p_0 > _MAX_LINK_DRAWS:
-        raise SimulationGuardError(f"link success probability p_0 = {p_0:.3g} means 1/p_0 = {1.0 / p_0:.3g} "
-                                   f"expected launches per link, above the sampling limit {_MAX_LINK_DRAWS // 2}")
+    link_draws = 2.0 / p_l / p_0
+    if link_draws > _MAX_LINK_DRAWS:
+        raise SimulationGuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "
+                                   f"expected preparation draws per link, above the sampling limit {_MAX_LINK_DRAWS:.3g}")
+    log2_links = params.n * math.log2(2.0 / p_sw) if params.n else 0.0
+    if log2_links > math.log2(_MAX_TRIAL_LINKS):
+        raise SimulationGuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
+                                   f"2^{log2_links:.4g} expected elementary links per trial, "
+                                   f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
     rng = np.random.Generator(np.random.PCG64(seed))
     slot = 1.0 / params.r
     flight = params.l0 / params.c
 
-    # Expected preparation draws of one link at each level.
-    link_draws = [2.0 / p_0]
+    # Expected elementary links of one link at each level.
+    link_count = [1.0]
     for _ in range(params.n):
-        link_draws.append(link_draws[-1] * 2.0 / p_sw)
+        link_count.append(link_count[-1] * 2.0 / p_sw)
     prep_attempts = 0
     link_attempts = 0
     swap_attempts = [0] * params.n
@@ -127,28 +175,22 @@ def simulate_trial(
         its attempts, of the longer of two fresh links one level down.
         """
         nonlocal prep_attempts, link_attempts
-        if m > 1 and m * link_draws[level] > _SLICE_DRAWS:
+        if m > 1 and m * link_count[level] > _SLICE_LINKS:
             half = m // 2
             return np.concatenate((durations(level, half), durations(level, m - half)))
         attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
         total = int(attempts.sum())
-        starts = np.cumsum(attempts) - attempts
         if level == 0:
             link_attempts += total
-            # A single link is reduced one slice of draws at a time.
-            width = total if m > 1 else min(total, _SLICE_DRAWS // 2)
-            pulses = 0
-            for start in range(0, total, width):
-                draws = rng.geometric(p_l, size=(2, min(width, total - start)))
-                prep_attempts += int(draws.sum())
-                pulses = pulses + np.add.reduceat(np.maximum(draws[0], draws[1]), starts)
+            pulses, draws = _level0_pulses(rng, p_l, attempts)
+            prep_attempts += draws
             return pulses * slot + attempts * flight
         swap_attempts[level - 1] += total
         left, right = durations(level - 1, 2 * total).reshape(2, total)
         rounds = np.maximum(left, right)
         if policy.swap_comm_time:
             rounds += 2 ** (level - 1) * flight
-        return np.add.reduceat(rounds, starts)
+        return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
 
     total_time = float(durations(params.n, 1)[0])
     return TrialResult(

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import repeaterlab
+from repeaterlab import rates
 from repeaterlab.cli import main
+from repeaterlab.core import paper_defaults
 
 FAST_SIM = ["--l-km", "80", "--n", "0", "--trials", "400", "--seed", "7"]
 
@@ -111,13 +113,25 @@ def test_simulate_zero_trials_exits_2(capsys):
 
 def test_simulate_guard_exits_3(capsys):
     # A zero-probability stage, then p_0 ~ 1e-26 (n = 0) and ~ 1e-13
-    # (n = 1) over the default 1280 km: too small to sample.
-    for argv in ((*FAST_SIM, "--eta-d", "0"), ("--n", "0"), ("--n", "1")):
+    # (n = 1) over the default 1280 km and p_l ~ 1e-17 (eta_p = 1e-7): too
+    # small to sample; last, (2/p_swap)^40 ~ 2^104 elementary links.
+    for argv in ((*FAST_SIM, "--eta-d", "0"), ("--n", "0"), ("--n", "1"), ("--eta-p", "1e-7"),
+                 ("--n", "40", "--l-km", "80000", "--trials", "1")):
         code, _, err = run_cli(capsys, "simulate", *argv)
         assert code == 3
         assert err.startswith("aborted:")
         assert "Traceback" not in err
 
+
+def test_simulate_tiny_prep_probability_counts(capsys):
+    # p_l ~ 8e-12 (2/p_l ~ 2^38 draws per launch) still runs, and the
+    # attempt totals do not wrap: about 2/p_l prep attempts per launch.
+    code, out, _ = run_cli(capsys, "simulate", "--eta-p", "1e-4", "--trials", "20", "--seed", "5",
+                           "--format", "jsonl")
+    assert code == 0
+    rec = parse_jsonl(out)[0]
+    p_l = rates.p_local(paper_defaults().with_overrides(eta_p=1e-4))
+    assert rec["prep_attempts"] / rec["link_attempts"] == pytest.approx(2.0 / p_l, rel=0.05)
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,8 @@ from repeaterlab.sim import (
     SimPolicy,
     SimulationGuardError,
     _first_order,
+    _level0_pulses,
+    _SLICE_DRAWS,
     compare_analytic,
     derive_trial_seed,
     estimate,
@@ -99,7 +101,7 @@ def test_zero_probability_guard():
 
 def test_single_link_draws_are_sliced():
     # 2/p_0 = 4e6 expected preparation draws on one elementary link (32 MB
-    # as int64 if held at once) are reduced one slice at a time.
+    # as int64 if held at once) are drawn as the link's compound sums.
     tracemalloc.start()
     try:
         res = simulate_trial(N0, OFF, 17, stage_probs=(0.5, 5e-7, 1.0))
@@ -108,6 +110,64 @@ def test_single_link_draws_are_sliced():
         tracemalloc.stop()
     assert res.counts.link_attempts > 2**15  # the sliced path ran
     assert peak < 4 * 2**20
+
+
+def _moments(x):
+    """Mean and variance of a sample, each with its standard error."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    mean, var = x.mean(), x.var(ddof=1)
+    m4 = np.mean((x - mean) ** 4)
+    return mean, math.sqrt(var / n), var, math.sqrt((m4 - var * var) / n)
+
+
+def _assert_agree(a, b):
+    for va, sa, vb, sb in ((a[0], a[1], b[0], b[1]), (a[2], a[3], b[2], b[3])):
+        assert abs(va - vb) <= 4.0 * math.hypot(sa, sb)
+
+
+@pytest.mark.parametrize("p_l", [0.3, 0.99])
+def test_level0_paths_agree_in_distribution(p_l):
+    # The same launch counts through both level-0 paths: one link per call
+    # is drawn pulse by pulse, 600 links per call from compound sums.  At
+    # p_l = 0.99 most links have no untied launch (B = 0).
+    k, links, calls = 64, 600, 1500
+    launches = np.full(links, k)
+    assert 2 * k <= _SLICE_DRAWS < 2 * k * links
+    rng = np.random.default_rng(8128)
+    direct = [_level0_pulses(rng, p_l, launches[:1]) for _ in range(20_000)]
+    compound = [_level0_pulses(rng, p_l, launches) for _ in range(calls)]
+    _assert_agree(_moments([pulses[0] for pulses, _ in direct]),
+                  _moments(np.concatenate([pulses for pulses, _ in compound])))
+    # Only the request's total is returned, so per-link prep attempts come
+    # from the totals of 600 iid links.
+    d_mean, d_se, d_var, d_var_se = _moments([prep for _, prep in direct])
+    c_mean, c_se, c_var, c_var_se = _moments([prep for _, prep in compound])
+    _assert_agree((d_mean, d_se, d_var, d_var_se),
+                  (c_mean / links, c_se / links, c_var / links, c_var_se / links))
+
+
+def test_compound_single_link_matches_closed_form():
+    # About 1e6 launches per link: nearly every trial draws its link from
+    # compound sums, and the mean total time is (E[max of two prep waits]
+    # slot + flight) / p_0.
+    p_l, p_0 = 0.3, 1e-6
+    trials = [simulate_trial(N0, OFF, derive_trial_seed(31, i), stage_probs=(p_l, p_0, 1.0))
+              for i in range(2000)]
+    assert sum(2 * t.counts.link_attempts > _SLICE_DRAWS for t in trials) > 0.9 * len(trials)
+    times = np.array([t.total_time for t in trials])
+    closed = (expected_pulses_both_ready(p_l) / N0.r + N0.l0 / N0.c) / p_0
+    assert abs(times.mean() - closed) <= 4.0 * times.std(ddof=1) / math.sqrt(len(times))
+
+
+def test_compound_unit_prep_probability():
+    # p_l = 1: every launch takes one pulse and two preparation draws, so
+    # no launch is untied (B = 0) and both negative binomials are 0.
+    res = simulate_trial(N0, OFF, 41, stage_probs=(1.0, 1e-6, 1.0))
+    k = res.counts.link_attempts
+    assert 2 * k > _SLICE_DRAWS
+    assert res.counts.prep_attempts == 2 * k
+    assert res.total_time == k * (1.0 / N0.r) + k * (N0.l0 / N0.c)
 
 
 def test_swap_comm_time_adds_delay():
