@@ -27,7 +27,13 @@ from exact compound distributions: a gamma and a Poisson variate per
 link for the launches' minima, a binomial count of untied launches, and
 a gamma and a Poisson variate for their excess.  Requests expecting more
 than ``_SLICE_LINKS`` elementary links are sampled in halves.  The two
-constants fix the stream.
+constants fix the stream: n = 0 over 80 km and n = 1 over 160 km draw
+one by one as in 0.3.0, while n = 4 over 1280 km uses compound sums,
+so its values for a given seed differ from 0.3.0's.
+
+A trial is refused (SimulationGuardError) when one elementary link
+expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
+the chain more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n.
 """
 
 from __future__ import annotations

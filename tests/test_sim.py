@@ -113,17 +113,18 @@ def test_single_link_draws_are_sliced():
 
 
 def _moments(x):
-    """Mean and variance of a sample, each with its standard error."""
+    """(mean, SE) and (variance, SE) of a sample."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
     mean, var = x.mean(), x.var(ddof=1)
     m4 = np.mean((x - mean) ** 4)
-    return mean, math.sqrt(var / n), var, math.sqrt((m4 - var * var) / n)
+    return (mean, math.sqrt(var / len(x))), (var, math.sqrt((m4 - var * var) / len(x)))
 
 
-def _assert_agree(a, b):
-    for va, sa, vb, sb in ((a[0], a[1], b[0], b[1]), (a[2], a[3], b[2], b[3])):
-        assert abs(va - vb) <= 4.0 * math.hypot(sa, sb)
+def _assert_agree(direct, compound, links=1):
+    """Per-link mean and variance agree within 4 SE; each ``compound``
+    value sums ``links`` iid links."""
+    for (vd, sd), (vc, sc) in zip(_moments(direct), _moments(compound)):
+        assert abs(vd - vc / links) <= 4.0 * math.hypot(sd, sc / links)
 
 
 @pytest.mark.parametrize("p_l", [0.3, 0.99])
@@ -131,20 +132,15 @@ def test_level0_paths_agree_in_distribution(p_l):
     # The same launch counts through both level-0 paths: one link per call
     # is drawn pulse by pulse, 600 links per call from compound sums.  At
     # p_l = 0.99 most links have no untied launch (B = 0).
-    k, links, calls = 64, 600, 1500
+    k, links = 64, 600
     launches = np.full(links, k)
     assert 2 * k <= _SLICE_DRAWS < 2 * k * links
     rng = np.random.default_rng(8128)
     direct = [_level0_pulses(rng, p_l, launches[:1]) for _ in range(20_000)]
-    compound = [_level0_pulses(rng, p_l, launches) for _ in range(calls)]
-    _assert_agree(_moments([pulses[0] for pulses, _ in direct]),
-                  _moments(np.concatenate([pulses for pulses, _ in compound])))
-    # Only the request's total is returned, so per-link prep attempts come
-    # from the totals of 600 iid links.
-    d_mean, d_se, d_var, d_var_se = _moments([prep for _, prep in direct])
-    c_mean, c_se, c_var, c_var_se = _moments([prep for _, prep in compound])
-    _assert_agree((d_mean, d_se, d_var, d_var_se),
-                  (c_mean / links, c_se / links, c_var / links, c_var_se / links))
+    compound = [_level0_pulses(rng, p_l, launches) for _ in range(1500)]
+    _assert_agree([pulses[0] for pulses, _ in direct], np.concatenate([pulses for pulses, _ in compound]))
+    # Only a request's total prep attempts are returned.
+    _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
 
 
 def test_compound_single_link_matches_closed_form():
