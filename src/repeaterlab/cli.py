@@ -34,18 +34,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="JSON config file (missing keys take paper defaults)")
-    group = parser.add_argument_group("parameter overrides (take precedence over --config)")
-    for key in _CONFIG_KEYS:
-        group.add_argument("--" + key.replace("_", "-"), dest=key, type=int if key == "n" else float)
-
-
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    parser.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
-
-
 def _load_params(args) -> ProtocolParams:
     if args.config is not None:
         try:
@@ -59,11 +47,10 @@ def _load_params(args) -> ProtocolParams:
 
     overrides = {}
     for key, field in _CONFIG_KEYS.items():
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             overrides[field] = value
-    if overrides:
-        params = params.with_overrides(**overrides)
+    params = params.with_overrides(**overrides)
     result = validate(params)
     if not result.ok:
         raise ConfigError("invalid parameter values for: " + ", ".join(result.violations))
@@ -129,15 +116,13 @@ def _default_seed(args) -> int:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_rates(args) -> int:
-    params = _load_params(args)
+def cmd_rates(args, params: ProtocolParams) -> int:
     report = rates.t_total(params)
     _emit([report.to_record()], args.format, sys.stdout)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    params = _load_params(args)
+def cmd_simulate(args, params: ProtocolParams) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
@@ -147,8 +132,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    params = _load_params(args)
+def cmd_sweep(args, params: ProtocolParams) -> int:
     key = args.param
     if key not in _CONFIG_KEYS.values():
         raise ConfigError(f"unknown sweep parameter {key!r}; one of {', '.join(_CONFIG_KEYS.values())}")
@@ -163,7 +147,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"empty sweep grid [{args.start}, {args.stop}]")
 
     records = []
-    reports = []
     for value in values:
         if key == "n":
             if float(value) != int(value):
@@ -173,10 +156,8 @@ def cmd_sweep(args) -> int:
         check = validate(point)
         if not check.ok:
             raise ConfigError(f"sweep value {value} invalid for: " + ", ".join(check.violations))
-        report = rates.t_total(point)
-        reports.append(report)
-        records.append({key: value, **report.to_record()})
-    best = min(range(len(reports)), key=lambda i: reports[i].t_total)
+        records.append({key: value, **rates.t_total(point).to_record()})
+    best = min(range(len(records)), key=lambda i: records[i]["t_total"])
     for i, rec in enumerate(records):
         rec["optimal"] = i == best
     _emit(records, args.format, sys.stdout)
@@ -249,8 +230,7 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
     ]
 
 
-def cmd_bsm_verify(args) -> int:
-    params = _load_params(args)
+def cmd_bsm_verify(args, params: ProtocolParams) -> int:
     if args.phases < 1:
         raise ConfigError(f"--phases must be >= 1, got {args.phases}")
     records = _bsm_checks(args.phases, args.tolerance, params)
@@ -270,21 +250,17 @@ _PAPER_ROWS = (
 _REPRODUCE_TOLERANCE = 0.02
 
 
-def cmd_reproduce_paper(args) -> int:
-    params = _load_params(args)
+def cmd_reproduce_paper(args, params: ProtocolParams) -> int:
     records = []
-    all_pass = True
     for name, paper_value, compute in _PAPER_ROWS:
         value = compute(params)
         deviation = abs(value - paper_value) / abs(paper_value)
-        ok = deviation <= _REPRODUCE_TOLERANCE
-        all_pass = all_pass and ok
         records.append({
             "quantity": name,
             "computed": value,
             "paper": paper_value,
             "rel_deviation": deviation,
-            "pass": ok,
+            "pass": deviation <= _REPRODUCE_TOLERANCE,
             "not_computed": False,
             "note": "",
         })
@@ -298,7 +274,7 @@ def cmd_reproduce_paper(args) -> int:
         "note": "reference value, not computed",
     })
     _emit(records, args.format, sys.stdout)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rates = sub.add_parser("rates", help="analytic rate report for one parameter set")
-    _add_param_arguments(p_rates)
-    _add_common_arguments(p_rates)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", metavar="FILE", help="JSON config file (missing keys take paper defaults)")
+    group = shared.add_argument_group("parameter overrides (take precedence over --config)")
+    for key in _CONFIG_KEYS:
+        group.add_argument("--" + key.replace("_", "-"), dest=key, type=int if key == "n" else float)
+    shared.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
+    shared.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
+
+    p_rates = sub.add_parser("rates", parents=[shared], help="analytic rate report for one parameter set")
     p_rates.set_defaults(func=cmd_rates)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo chain simulation vs the analytic total time")
-    _add_param_arguments(p_sim)
-    _add_common_arguments(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo chain simulation vs the analytic total time")
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=None,
                        help="root seed (default: REPEATERLAB_SEED or 0)")
@@ -328,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add the classical confirmation delay per swap attempt")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="rate report over a parameter grid")
-    _add_param_arguments(p_sweep)
-    _add_common_arguments(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="rate report over a parameter grid")
     p_sweep.add_argument("--param", required=True, help="ProtocolParams field to sweep")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
@@ -338,17 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of grid points (omitted: integer sweep)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("bsm-verify", help="state-level invariant suite of the Bell analyzer")
-    _add_param_arguments(p_verify)
-    _add_common_arguments(p_verify)
+    p_verify = sub.add_parser("bsm-verify", parents=[shared], help="state-level invariant suite of the Bell analyzer")
     p_verify.add_argument("--phases", type=int, default=4, help="phase-grid resolution per axis")
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override every check tolerance (default: per-check)")
     p_verify.set_defaults(func=cmd_bsm_verify)
 
-    p_paper = sub.add_parser("reproduce-paper", help="reproduce the headline numbers")
-    _add_param_arguments(p_paper)
-    _add_common_arguments(p_paper)
+    p_paper = sub.add_parser("reproduce-paper", parents=[shared], help="reproduce the headline numbers")
     p_paper.set_defaults(func=cmd_reproduce_paper)
 
     return parser
@@ -358,7 +332,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_params(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,7 +83,7 @@ def t_total(params: ProtocolParams) -> RateReport:
     """
     eta_t = fiber_transmission(params.l0, params.L_att)
     pl, p0, psw = stage_probabilities(params)
-    tl = 1.0 / (params.r * pl)
+    tl = t_local(params)
     t0 = params.l0 / params.c + tl
     denominator = p0 * psw ** params.n
     total = t0 / denominator if denominator > 0.0 else math.inf

@@ -167,9 +167,7 @@ def simulate_trial(
     flight = params.l0 / params.c
 
     # Expected elementary links of one link at each level.
-    link_count = [1.0]
-    for _ in range(params.n):
-        link_count.append(link_count[-1] * 2.0 / p_sw)
+    link_count = [(2.0 / p_sw) ** level for level in range(params.n + 1)]
     prep_attempts = 0
     link_attempts = 0
     swap_attempts = [0] * params.n
@@ -309,23 +307,13 @@ def compare_analytic(params: ProtocolParams, policy: SimPolicy, trials: int, see
 def expected_pulses_both_ready(p_l: float) -> float:
     """Expected pulse slots until both ends of a link are prepared.
 
-    Absorbing-Markov-chain solve on the readiness states {00, 01, 10}
-    (11 absorbing), each step one source pulse at both unready ends.
-    Equals E[max(G_a, G_b)] = 2/p - 1/(p(2-p)) for iid geometrics.
+    E[max(G_a, G_b)] for iid Geom(p): the shorter wait, 1/(p(2-p)), plus
+    the excess 1/p unless the two tie (probability p/(2-p)), the
+    decomposition ``_level0_pulses`` samples: (3 - 2p)/(p(2-p)).
     """
     if not 0.0 < p_l <= 1.0:
         raise ValueError(f"p_l must be in (0, 1], got {p_l}")
-    if p_l == 1.0:
-        return 1.0
-    q = 1.0 - p_l
-    # Transient transition matrix over (00, 01, 10).
-    transient = np.array([
-        [q * q, p_l * q, p_l * q],
-        [0.0, q, 0.0],
-        [0.0, 0.0, q],
-    ])
-    steps = np.linalg.solve(np.eye(3) - transient, np.ones(3))
-    return float(steps[0])
+    return (3.0 - 2.0 * p_l) / (p_l * (2.0 - p_l))
 
 
 # Recursion pieces are cut where a^-j would pass 2^500.
@@ -408,7 +396,7 @@ def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> floa
     """Exact expected total time for n <= 1 chains, swap_comm_time off.
 
     n = 0: (E[pulses until both ends ready]/r + L_0/c) / p_0 with the
-    pulse expectation from the absorbing-chain solve.
+    closed-form pulse expectation of ``expected_pulses_both_ready``.
 
     n = 1: the two links evolve independently on the common pulse
     lattice, so the expected swap-round duration is E[max(T_1, T_2)] =
