@@ -6,11 +6,12 @@ Subcommands: ``rates``, ``simulate``, ``sweep``, ``bsm-verify``,
 values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
-guard (a zero-probability stage, a time, rate or bound that is not a
-finite float, or a link success probability too small to sample).  Flag
-overrides take precedence over the config file, which takes precedence
-over the paper defaults.  REPEATERLAB_SEED provides the default seed
-(the --seed flag wins).
+guard (a zero-probability stage or local rate r p_l, a time, rate or
+bound that is not a finite float, or a link success probability too
+small to sample).  Flag overrides take precedence over the config file,
+which takes precedence over the paper defaults.  REPEATERLAB_SEED
+provides the default seed (the --seed flag wins); a negative seed is a
+config error.
 """
 
 from __future__ import annotations
@@ -102,14 +103,16 @@ def _table_cell(value) -> str:
 
 def _default_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("REPEATERLAB_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("REPEATERLAB_SEED", "0")
         try:
-            return int(env)
+            seed, source = int(env), "REPEATERLAB_SEED"
         except ValueError as exc:
             raise ConfigError(f"REPEATERLAB_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +190,10 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
     checks.append(("phase_independence_spread", max(probs) - min(probs), tol(1e-10)))
     checks.append(("corrected_fidelity_shortfall", 1.0 - min_fid, tol(1e-9)))
 
-    # L below 1e-14 km makes exp(-l0 / (2 L_att)) exactly 1.0 in floats.
+    # L = 0 makes the fiber transmission exactly 1.0 at any L_att.
     for name, pipeline in (
         ("ideal_local_accept_minus_half", optics.local_entanglement_pipeline),
-        ("ideal_link_accept_minus_half", lambda p: optics.link_pipeline(p.with_overrides(L=1e-15))),
+        ("ideal_link_accept_minus_half", lambda p: optics.link_pipeline(p.with_overrides(L=0.0))),
         ("ideal_swap_accept_minus_half", optics.swap_pipeline),
     ):
         checks.append((name, abs(pipeline(ideal).accept_prob - 0.5), tol(1e-10)))
@@ -213,7 +216,8 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
             (optics.link_pipeline(point).accept_prob, rates.p_link(point)),
             (optics.swap_pipeline(point).accept_prob, rates.p_swap(point)),
         )
-        worst = max(worst, *(abs(a - b) / b for a, b in trio))
+        # Where the formula is exactly 0 (fiber transmission underflows), compare absolutely.
+        worst = max(worst, *(abs(a - b) / b if b else abs(a - b) for a, b in trio))
     checks.append(("engine_vs_formula_rel", worst, tol(1e-9)))
 
     residual = 0.0

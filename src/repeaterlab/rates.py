@@ -35,10 +35,12 @@ def p_local(params: ProtocolParams) -> float:
 
 
 def t_local(params: ProtocolParams) -> float:
-    """Mean waiting time 1 / (r p_l) for a local entangled pair."""
+    """Mean waiting time 1 / (r p_l) for a local entangled pair; raises
+    GuardError if r p_l is zero (p_l = 0, or the product underflows)."""
     pl = p_local(params)
-    if pl == 0.0:
-        raise ValueError("local success probability is zero; waiting time diverges")
+    if params.r * pl == 0.0:
+        raise GuardError(f"the local success rate r p_l = {params.r} * {pl} is zero; "
+                         "the local waiting time diverges")
     return 1.0 / (params.r * pl)
 
 

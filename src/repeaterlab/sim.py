@@ -28,8 +28,7 @@ link for the launches' minima, a binomial count of untied launches, and
 a gamma and a Poisson variate for their excess.  Requests expecting more
 than ``_SLICE_LINKS`` elementary links are sampled in halves.  The two
 constants fix the stream: n = 0 over 80 km and n = 1 over 160 km draw
-one by one as in 0.3.0, while n = 4 over 1280 km uses compound sums,
-so its values for a given seed differ from 0.3.0's.
+one by one, while n = 4 over 1280 km uses compound sums.
 
 A trial is refused (SimulationGuardError) when one elementary link
 expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
@@ -404,10 +403,8 @@ def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> floa
     This requires the heralding flight L_0/c to be an integer number of
     pulse slots; the result is exact up to the < 1e-9 relative
     truncation of the survival series, which stops at S_u < 1e-5
-    (S_u^2 < 1e-10) and adds a geometric tail.  It agrees with the
-    0.2.0 oracle (scipy recursions, cutoff S_u < 1e-10) to about 1e-14
-    relative at n = 1 over 160 km.  The cost grows like 1/p_0 (n = 1
-    takes about 0.6 s over 160 km and 57 s over 320 km).
+    (S_u^2 < 1e-10) and adds a geometric tail.  The cost grows like
+    1/p_0.
     """
     if params.n > 1:
         raise ValueError("exact_expected_time_small supports n <= 1 only")

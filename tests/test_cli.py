@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repeaterlab
 from repeaterlab import rates
@@ -111,6 +114,14 @@ def test_simulate_zero_trials_exits_2(capsys):
     assert code == 2
 
 
+def test_simulate_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--l-km", "80", "--n", "0", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err and "-1" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_guard_exits_3(capsys):
     # A zero-probability stage, then p_0 ~ 1e-26 (n = 0) and ~ 1e-13
     # (n = 1) over the default 1280 km and p_l ~ 1e-17 (eta_p = 1e-7): too
@@ -141,6 +152,9 @@ def test_simulate_tiny_prep_probability_counts(capsys):
     ("rates", "--n", "700"),  # p_swap**n underflows to 0
     ("rates", "--n", "1050", "--eta-e2", "1", "--eta-d", "1"),  # 2**n overflows a float
     ("reproduce-paper", "--l-km", "1e-320"),  # L_0 p_l underflows to 0
+    ("rates", "--r-hz", "1e-322"),  # r p_l underflows to 0
+    ("reproduce-paper", "--r-hz", "1e-322"),
+    ("sweep", "--param", "n", "--from", "0", "--to", "12", "--r-hz", "1e-322"),
 ])
 def test_analytic_guard_exits_3(capsys, argv):
     # validate() accepts each parameter set; the closed forms cannot be evaluated.
@@ -160,6 +174,15 @@ def test_simulate_env_seed(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "simulate", "--l-km", "80", "--n", "0",
                            "--trials", "50", "--seed", "3", "--format", "jsonl")
     assert parse_jsonl(out)[0]["seed"] == 3
+
+
+def test_simulate_negative_env_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("REPEATERLAB_SEED", "-3")
+    code, out, err = run_cli(capsys, "simulate", "--l-km", "80", "--n", "0", "--trials", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "REPEATERLAB_SEED" in err and "-3" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_swap_comm_flag(capsys):
@@ -220,8 +243,13 @@ def test_bsm_verify_passes(capsys):
     assert "dark_state_residual" in names
 
 
-def test_bsm_verify_minimal_grid(capsys):
-    code, out, _ = run_cli(capsys, "bsm-verify", "--phases", "1", "--format", "jsonl")
+@pytest.mark.parametrize("extra", [
+    (),
+    ("--l-km", "1e308"),  # fiber transmission underflows to 0
+    ("--l-att-km", "1e-308"),
+], ids=["defaults", "l_km_1e308", "l_att_km_1e-308"])
+def test_bsm_verify_minimal_grid(capsys, extra):
+    code, out, _ = run_cli(capsys, "bsm-verify", "--phases", "1", *extra, "--format", "jsonl")
     assert code == 0
 
 
@@ -280,6 +308,48 @@ def test_verbose_writes_to_stderr(capsys):
     code, _, err = run_cli(capsys, "rates", "--verbose")
     assert code == 0
     assert "parameters" in err
+
+
+# Extremes that validate() accepts, per parameter kind.
+_POSITIVE_EXTREMES = (5e-324, 1e-320, 1e-300, 1.0, 1e300, 1.7e308)
+_EFFICIENCY_EXTREMES = (0.0, 5e-324, 1e-300, 1e-7, 0.5, 1.0)
+_EXTREMES = {
+    "eta_p": _EFFICIENCY_EXTREMES,
+    "eta_s": _EFFICIENCY_EXTREMES,
+    "eta_e1": _EFFICIENCY_EXTREMES,
+    "eta_e2": _EFFICIENCY_EXTREMES,
+    "eta_d": _EFFICIENCY_EXTREMES,
+    "r_hz": (*_POSITIVE_EXTREMES, 39.2e6),
+    "l_km": (*_POSITIVE_EXTREMES, 1280.0),
+    "l_att_km": (*_POSITIVE_EXTREMES, 22.0),
+    "c_km_s": (*_POSITIVE_EXTREMES, 2.0e5),
+    "n": (0, 1, 4, 12, 700, 1100, 10**6),
+    "p_d": (0.0, 5e-324, 0.999999),
+}
+_ANALYTIC_COMMANDS = (
+    ("rates",),
+    ("reproduce-paper",),
+    ("sweep", "--param", "n", "--from", "0", "--to", "12"),
+    ("sweep", "--param", "eta_d", "--from", "0", "--to", "1", "--steps", "3"),
+    ("bsm-verify", "--phases", "1"),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    command=st.sampled_from(_ANALYTIC_COMMANDS),
+    values=st.fixed_dictionaries({key: st.none() | st.sampled_from(pool) for key, pool in _EXTREMES.items()}),
+    fmt=st.sampled_from(("table", "csv", "jsonl")),
+)
+def test_analytic_commands_never_crash(command, values, fmt):
+    # Every accepted parameter set either runs or exits with a documented code.
+    argv = [*command, "--format", fmt]
+    for key, value in values.items():
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), repr(value)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_usage_error_exits_2():

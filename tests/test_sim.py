@@ -257,7 +257,7 @@ def test_monotone_degradation_paired_seeds():
 # exact oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", [1.0, 0.9, 0.5, 0.1, 0.0123])
+@pytest.mark.parametrize("p", [1.0, 0.9, 0.5, 0.1, 0.0123, 1e-6, 1e-9])
 def test_expected_pulses_markov_solve_matches_closed_form(p):
     # E[max of two iid geometrics] = 2/p - 1/(p(2-p))
     closed = 2.0 / p - 1.0 / (p * (2.0 - p))
