@@ -165,8 +165,6 @@ def simulate_trial(
     slot = 1.0 / params.r
     flight = params.l0 / params.c
 
-    # Expected elementary links of one link at each level.
-    link_count = [(2.0 / p_sw) ** level for level in range(params.n + 1)]
     prep_attempts = 0
     link_attempts = 0
     swap_attempts = [0] * params.n
@@ -178,7 +176,8 @@ def simulate_trial(
         its attempts, of the longer of two fresh links one level down.
         """
         nonlocal prep_attempts, link_attempts
-        if m > 1 and m * link_count[level] > _SLICE_LINKS:
+        # A link at this level expects (2/p_swap)^level elementary links.
+        if m > 1 and m * (2.0 / p_sw) ** level > _SLICE_LINKS:
             half = m // 2
             return np.concatenate((durations(level, half), durations(level, m - half)))
         attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
