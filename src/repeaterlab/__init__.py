@@ -24,4 +24,4 @@ __all__ = [
     "validate",
 ]
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"

@@ -7,8 +7,9 @@ values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
 guard (a zero-probability stage or local rate r p_l, a time, rate or
-bound that is not a finite float, or a link success probability too
-small to sample).  Flag overrides take precedence over the config file,
+bound that is not a finite float, a link success probability too
+small to sample, or a --trials or --steps count whose array cannot be
+allocated).  Flag overrides take precedence over the config file,
 which takes precedence over the paper defaults.  REPEATERLAB_SEED
 provides the default seed (the --seed flag wins); a negative seed is a
 config error.
@@ -142,7 +143,12 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-        values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+        try:
+            grid = np.linspace(args.start, args.stop, args.steps)
+        except MemoryError as exc:
+            raise rates.GuardError(f"--steps {args.steps} needs {8.0 * args.steps:.3g} bytes for its grid, "
+                                   "more than can be allocated") from exc
+        values = [float(v) for v in grid]
     else:
         lo, hi = math.ceil(args.start), math.floor(args.stop)
         values = list(range(lo, hi + 1))

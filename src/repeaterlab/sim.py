@@ -18,7 +18,11 @@ Event semantics of one trial:
 Randomness contract: one root 64-bit seed; trial i uses the independent
 substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
-rerun is bit-for-bit identical.  Within a trial the stream runs
+rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
+``PCG64`` from ``derive_trial_seed``; ``estimate`` repeats numpy's
+seeding arithmetic over arrays of trials and loads each resulting PCG64
+state into one reused Generator, bit-identical to the per-trial path
+and without its per-trial SeedSequence objects.  Within a trial the stream runs
 top-down: one Geom(p_swap) attempt count per requested link at each
 level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
 request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
@@ -32,7 +36,9 @@ one by one, while n = 4 over 1280 km uses compound sums.
 
 A trial is refused (SimulationGuardError) when one elementary link
 expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
-the chain more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n.
+the chain more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n;
+``_TrialSampler`` runs these checks once per run.  ``estimate`` also
+refuses a trial count whose total-time array cannot be allocated.
 """
 
 from __future__ import annotations
@@ -83,6 +89,101 @@ def derive_trial_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# numpy's SeedSequence hash constants (pool size 4, 32-bit words) and the
+# PCG64 128-bit LCG multiplier; ``estimate`` repeats their arithmetic over
+# arrays of trials, and the tests hold it equal to numpy's.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = 0xFFFFFFFF
+# Trials whose generator states ``estimate`` derives at once.
+_SEED_CHUNK = 1024
+
+
+def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` for
+    many sequences at once: ``entropy`` holds the 32-bit entropy words,
+    least significant first, each a uint32 array with one element per
+    sequence; the result holds the output words likewise."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _WORD
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _WORD
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _trial_seeds(root_seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_trial_seed(root_seed, i)`` for i in [start, stop), as uint64.
+
+    The root's words are zero-padded to the pool size, as numpy pads
+    them when a spawn key follows; an index of 2^32 or more is two
+    words, so a range may not straddle 2^32.
+    """
+    if root_seed < 0:
+        raise ValueError(f"root seed must be a non-negative integer, got {root_seed}")
+    index = np.arange(start, stop, dtype=np.uint64)
+    words = []
+    while True:
+        words.append(np.full(len(index), root_seed & _WORD, dtype=np.uint32))
+        root_seed >>= 32
+        if not root_seed:
+            break
+    words += [np.zeros(len(index), dtype=np.uint32)] * (4 - len(words))
+    words.append((index & np.uint64(_WORD)).astype(np.uint32))
+    if start >= 2**32:
+        words.append((index >> np.uint64(32)).astype(np.uint32))
+    low, high = _seed_sequence_state(words, 2)
+    return low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """``PCG64(s).state["state"]`` as (state, inc) for each uint64 seed s.
+
+    PCG64 takes four 64-bit words from ``SeedSequence(s)``, the initial
+    state (high, low) and the stream (high, low), then runs its two-step
+    ``srandom``: inc = 2 stream + 1, state = (inc + initial) * mult + inc,
+    modulo 2^128.  numpy reads a seed below 2^32 as one entropy word,
+    which mixes like the two words (s, 0) since missing pool words hash
+    as zeros.
+    """
+    words = _seed_sequence_state([(seeds & np.uint64(_WORD)).astype(np.uint32),
+                                  (seeds >> np.uint64(32)).astype(np.uint32)], 8)
+    wide = [low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
+            for low, high in zip(words[0::2], words[1::2])]
+    mask = (1 << 128) - 1
+    states = []
+    for init_high, init_low, stream_high, stream_low in zip(*(w.tolist() for w in wide)):
+        inc = ((stream_high << 64 | stream_low) << 1 | 1) & mask
+        states.append((((init_high << 64 | init_low) + inc) * _PCG64_MULT + inc & mask, inc))
+    return states
+
+
 # Requests expecting more elementary links than this are sampled in
 # halves, so a level-0 request holds at most this many links.
 _SLICE_LINKS = 2**16
@@ -129,6 +230,75 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -
     return mins + excess, 2 * int(mins.sum()) + int(excess.sum())
 
 
+class _TrialSampler:
+    """Trials of one (params, policy, stage_probs) run, each on a given
+    Generator; the stage probabilities are validated and both guards run
+    once, when the sampler is built."""
+
+    def __init__(self, params: ProtocolParams, policy: SimPolicy,
+                 stage_probs: tuple[float, float, float] | None = None):
+        if stage_probs is None:
+            p_l, p_0, p_sw = rates.stage_probabilities(params)
+        else:
+            for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
+                if not 0.0 < p <= 1.0:
+                    raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
+            p_l, p_0, p_sw = stage_probs
+        link_draws = 2.0 / p_l / p_0
+        if link_draws > _MAX_LINK_DRAWS:
+            raise SimulationGuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "
+                                       f"expected preparation draws per link, above the sampling limit {_MAX_LINK_DRAWS:.3g}")
+        log2_links = params.n * math.log2(2.0 / p_sw) if params.n else 0.0
+        if log2_links > math.log2(_MAX_TRIAL_LINKS):
+            raise SimulationGuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
+                                       f"2^{log2_links:.4g} expected elementary links per trial, "
+                                       f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
+        self.n = params.n
+        self.swap_comm_time = policy.swap_comm_time
+        self.p_l, self.p_0, self.p_sw = p_l, p_0, p_sw
+        self.slot = 1.0 / params.r
+        self.flight = params.l0 / params.c
+
+    def __call__(self, rng: np.random.Generator) -> TrialResult:
+        """One trial drawn from ``rng``."""
+        p_l, p_0, p_sw = self.p_l, self.p_0, self.p_sw
+        slot, flight = self.slot, self.flight
+        prep_attempts = 0
+        link_attempts = 0
+        swap_attempts = [0] * self.n
+
+        def durations(level: int, m: int) -> np.ndarray:
+            """Durations of ``m`` independent level-``level`` links.
+
+            Failed subtrees restart from scratch, so a link lasts the sum, over
+            its attempts, of the longer of two fresh links one level down.
+            """
+            nonlocal prep_attempts, link_attempts
+            # A link at this level expects (2/p_swap)^level elementary links.
+            if m > 1 and m * (2.0 / p_sw) ** level > _SLICE_LINKS:
+                half = m // 2
+                return np.concatenate((durations(level, half), durations(level, m - half)))
+            attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
+            total = int(attempts.sum())
+            if level == 0:
+                link_attempts += total
+                pulses, draws = _level0_pulses(rng, p_l, attempts)
+                prep_attempts += draws
+                return pulses * slot + attempts * flight
+            swap_attempts[level - 1] += total
+            left, right = durations(level - 1, 2 * total).reshape(2, total)
+            rounds = np.maximum(left, right)
+            if self.swap_comm_time:
+                rounds += 2 ** (level - 1) * flight
+            return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
+
+        total_time = float(durations(self.n, 1)[0])
+        return TrialResult(
+            total_time=total_time,
+            counts=StageCounts(prep_attempts, link_attempts, tuple(swap_attempts)),
+        )
+
+
 def simulate_trial(
     params: ProtocolParams,
     policy: SimPolicy,
@@ -145,60 +315,8 @@ def simulate_trial(
     elementary link expects more than ``_MAX_LINK_DRAWS`` preparation
     draws or a trial more than ``_MAX_TRIAL_LINKS`` elementary links.
     """
-    if stage_probs is None:
-        p_l, p_0, p_sw = rates.stage_probabilities(params)
-    else:
-        for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
-        p_l, p_0, p_sw = stage_probs
-    link_draws = 2.0 / p_l / p_0
-    if link_draws > _MAX_LINK_DRAWS:
-        raise SimulationGuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "
-                                   f"expected preparation draws per link, above the sampling limit {_MAX_LINK_DRAWS:.3g}")
-    log2_links = params.n * math.log2(2.0 / p_sw) if params.n else 0.0
-    if log2_links > math.log2(_MAX_TRIAL_LINKS):
-        raise SimulationGuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
-                                   f"2^{log2_links:.4g} expected elementary links per trial, "
-                                   f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    slot = 1.0 / params.r
-    flight = params.l0 / params.c
-
-    prep_attempts = 0
-    link_attempts = 0
-    swap_attempts = [0] * params.n
-
-    def durations(level: int, m: int) -> np.ndarray:
-        """Durations of ``m`` independent level-``level`` links.
-
-        Failed subtrees restart from scratch, so a link lasts the sum, over
-        its attempts, of the longer of two fresh links one level down.
-        """
-        nonlocal prep_attempts, link_attempts
-        # A link at this level expects (2/p_swap)^level elementary links.
-        if m > 1 and m * (2.0 / p_sw) ** level > _SLICE_LINKS:
-            half = m // 2
-            return np.concatenate((durations(level, half), durations(level, m - half)))
-        attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
-        total = int(attempts.sum())
-        if level == 0:
-            link_attempts += total
-            pulses, draws = _level0_pulses(rng, p_l, attempts)
-            prep_attempts += draws
-            return pulses * slot + attempts * flight
-        swap_attempts[level - 1] += total
-        left, right = durations(level - 1, 2 * total).reshape(2, total)
-        rounds = np.maximum(left, right)
-        if policy.swap_comm_time:
-            rounds += 2 ** (level - 1) * flight
-        return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
-
-    total_time = float(durations(params.n, 1)[0])
-    return TrialResult(
-        total_time=total_time,
-        counts=StageCounts(prep_attempts, link_attempts, tuple(swap_attempts)),
-    )
+    sampler = _TrialSampler(params, policy, stage_probs)
+    return sampler(np.random.Generator(np.random.PCG64(seed)))
 
 
 @dataclass(frozen=True)
@@ -240,20 +358,38 @@ class EstimateResult:
 
 
 def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) -> EstimateResult:
-    """Aggregate ``trials`` independent trials with substream seeding."""
+    """Aggregate ``trials`` independent trials with substream seeding.
+
+    Trial i runs exactly as ``simulate_trial(params, policy,
+    derive_trial_seed(seed, i))``; the generator states are derived
+    ``_SEED_CHUNK`` trials at a time and loaded into one Generator.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    totals = np.empty(trials)
+    sample = _TrialSampler(params, policy)
+    try:
+        totals = np.empty(trials)
+    except MemoryError as exc:
+        raise SimulationGuardError(f"{trials} trials need {8.0 * trials:.3g} bytes for their total times, "
+                                   "more than can be allocated") from exc
     prep = 0
     link = 0
     swaps = [0] * params.n
-    for i in range(trials):
-        res = simulate_trial(params, policy, derive_trial_seed(seed, i))
-        totals[i] = res.total_time
-        prep += res.counts.prep_attempts
-        link += res.counts.link_attempts
-        for lvl in range(params.n):
-            swaps[lvl] += res.counts.swap_attempts[lvl]
+    # The state is replaced before every trial.
+    rng = np.random.Generator(np.random.PCG64(0))
+    pcg_state = {"state": 0, "inc": 0}
+    bit_state = {"bit_generator": "PCG64", "state": pcg_state, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, trials, _SEED_CHUNK):
+        stop = min(start + _SEED_CHUNK, trials)
+        for i, (state, inc) in enumerate(_pcg64_states(_trial_seeds(seed, start, stop)), start):
+            pcg_state["state"], pcg_state["inc"] = state, inc
+            rng.bit_generator.state = bit_state
+            res = sample(rng)
+            totals[i] = res.total_time
+            prep += res.counts.prep_attempts
+            link += res.counts.link_attempts
+            for lvl in range(params.n):
+                swaps[lvl] += res.counts.swap_attempts[lvl]
     p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
     std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return EstimateResult(

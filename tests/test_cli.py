@@ -228,6 +228,20 @@ def test_sweep_empty_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--trials", "1000000000000000"),
+    ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1000000000000000"),
+])
+def test_unallocatable_count_exits_3(capsys, argv):
+    # 10^15 float64 values (8 PB) cannot be allocated; the request fails
+    # at once, before any memory is touched.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("aborted:")
+    assert "1000000000000000" in err
+
+
 # ---------------------------------------------------------------------------
 # bsm-verify
 # ---------------------------------------------------------------------------

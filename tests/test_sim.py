@@ -14,7 +14,10 @@ from repeaterlab.sim import (
     SimulationGuardError,
     _first_order,
     _level0_pulses,
+    _pcg64_states,
+    _SEED_CHUNK,
     _SLICE_DRAWS,
+    _trial_seeds,
     compare_analytic,
     derive_trial_seed,
     estimate,
@@ -187,14 +190,66 @@ def test_single_trial_estimate():
     assert res.std_error == 0.0
     assert res.p50 == trial.total_time
 
-    # estimate is the plain loop over per-trial seeds, so a replay of
-    # its trials reproduces its mean and attempt totals exactly.
-    res = estimate(N1, OFF, 25, 123)
-    trials = [simulate_trial(N1, OFF, derive_trial_seed(123, i)) for i in range(25)]
-    assert res.mean == float(np.mean([t.total_time for t in trials]))
-    assert res.prep_attempts == sum(t.counts.prep_attempts for t in trials)
-    assert res.link_attempts == sum(t.counts.link_attempts for t in trials)
-    assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in trials)))
+
+@pytest.mark.parametrize("params, policy", [
+    (N0, OFF),
+    (N1, OFF),
+    (paper_defaults().with_overrides(L=1280.0, n=4), ON),
+], ids=["n0", "n1", "n4-swap-comm"])
+def test_estimate_replays_per_trial_seeds(params, policy):
+    # estimate derives its generator states in bulk; a replay of its
+    # trials through derive_trial_seed and simulate_trial, over more
+    # than one chunk of states, reproduces every output exactly.
+    trials = _SEED_CHUNK + 7
+    res = estimate(params, policy, trials, 123)
+    replay = [simulate_trial(params, policy, derive_trial_seed(123, i)) for i in range(trials)]
+    times = np.array([t.total_time for t in replay])
+    assert res.mean == float(np.mean(times))
+    assert res.std_error == float(np.std(times, ddof=1) / math.sqrt(trials))
+    assert (res.p50, res.p90, res.p99) == tuple(float(p) for p in np.percentile(times, [50.0, 90.0, 99.0]))
+    assert res.prep_attempts == sum(t.counts.prep_attempts for t in replay)
+    assert res.link_attempts == sum(t.counts.link_attempts for t in replay)
+    assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in replay)))
+
+
+@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345, 2**200 + 7])
+def test_bulk_seeding_matches_numpy(root):
+    # Indices 0, either side of the first chunk boundary, and either side
+    # of 2^32, where a spawn key takes a second word.
+    for start, stop in ((0, 3), (_SEED_CHUNK - 2, _SEED_CHUNK + 2), (2**32 - 2, 2**32), (2**32, 2**32 + 2)):
+        seeds = _trial_seeds(root, start, stop)
+        expected = [int(np.random.SeedSequence(root, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+                    for i in range(start, stop)]
+        assert seeds.tolist() == expected
+        assert expected == [derive_trial_seed(root, i) for i in range(start, stop)]
+        states = _pcg64_states(seeds)
+        for seed, (state, inc) in zip(expected, states):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+
+def _draws(rng):
+    return (rng.integers(0, 2**16, size=3, dtype=np.uint32).tolist(), rng.geometric(0.2, size=5).tolist(),
+            rng.binomial(1000, 0.3, size=3).tolist(), rng.standard_gamma(2.5, size=3).tolist(),
+            rng.poisson(40.0, size=3).tolist())
+
+
+def test_reseeded_generator_draws_like_a_fresh_one():
+    # One Generator re-seeded through its state dict draws what a fresh
+    # Generator(PCG64(s)) draws, even after it buffered a 32-bit half word
+    # and cached binomial set-up under the previous state.
+    seeds = _trial_seeds(7, 0, 4)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
+        rng.integers(0, 2**16, dtype=np.uint32)
+        rng.binomial(1000, 0.3)
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        assert _draws(rng) == _draws(np.random.Generator(np.random.PCG64(seed)))
+
+
+def test_bulk_seeding_rejects_negative_root():
+    with pytest.raises(ValueError):
+        estimate(N0, OFF, 3, -1)
 
 
 @pytest.mark.parametrize("params, seed, mean, prep, link, swaps", [
