@@ -8,11 +8,11 @@ values round-trip, JSONL emits one record per line.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
 guard (a zero-probability stage or local rate r p_l, a time, rate or
 bound that is not a finite float, a link success probability too
-small to sample, or a --trials or --steps count whose array cannot be
-allocated).  Flag overrides take precedence over the config file,
-which takes precedence over the paper defaults.  REPEATERLAB_SEED
-provides the default seed (the --seed flag wins); a negative seed is a
-config error.
+small to sample, or a --trials count, --steps count or integer sweep
+grid whose array cannot be allocated).  Flag overrides take precedence
+over the config file, which takes precedence over the paper defaults.
+REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
+negative seed is a config error.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ def _load_params(args) -> ProtocolParams:
                 document = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
         params = load_config(document)
     else:
         params = paper_defaults()
@@ -140,6 +142,9 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
     key = args.param
     if key not in _CONFIG_KEYS.values():
         raise ConfigError(f"unknown sweep parameter {key!r}; one of {', '.join(_CONFIG_KEYS.values())}")
+    for flag, bound in (("--from", args.start), ("--to", args.stop), ("--to minus --from", args.stop - args.start)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"{flag} must be a finite number, got {bound}")
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
@@ -151,7 +156,11 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
         values = [float(v) for v in grid]
     else:
         lo, hi = math.ceil(args.start), math.floor(args.stop)
-        values = list(range(lo, hi + 1))
+        try:
+            values = list(range(lo, hi + 1))
+        except (MemoryError, OverflowError) as exc:
+            raise rates.GuardError(f"--from {args.start} --to {args.stop} asks for {hi - lo + 1} integer grid points, "
+                                   "more than can be allocated") from exc
     if not values:
         raise ConfigError(f"empty sweep grid [{args.start}, {args.stop}]")
 

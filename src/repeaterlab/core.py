@@ -143,8 +143,9 @@ def load_config(document: str) -> ProtocolParams:
     empty (or whitespace-only) document means "all defaults".
 
     Raises:
-        ConfigError: on parse errors (with line context), unknown keys,
-            wrongly typed values, or validation failures.
+        ConfigError: on parse errors (with line context where the JSON
+            syntax is at fault), unknown keys, wrongly typed values, an
+            integer too large for a float, or validation failures.
     """
     text = document.strip()
     if not text:
@@ -154,6 +155,9 @@ def load_config(document: str) -> ProtocolParams:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # Integers beyond Python's digit limit, or nesting beyond its recursion limit.
+            raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a flat JSON object")
 
@@ -169,7 +173,10 @@ def load_config(document: str) -> ProtocolParams:
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-            overrides[field] = float(value)
+            try:
+                overrides[field] = float(value)
+            except OverflowError as exc:
+                raise ConfigError(f"config key {key!r} is an integer too large for a float") from exc
 
     params = paper_defaults().with_overrides(**overrides)
     result = validate(params)

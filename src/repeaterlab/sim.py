@@ -19,12 +19,12 @@ Randomness contract: one root 64-bit seed; trial i uses the independent
 substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
 rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
-``PCG64`` from ``derive_trial_seed``; ``estimate`` repeats numpy's
-seeding arithmetic over arrays of trials and loads each resulting PCG64
-state into one reused Generator, bit-identical to the per-trial path
-and without its per-trial SeedSequence objects.  Within a trial the stream runs
-top-down: one Geom(p_swap) attempt count per requested link at each
-level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
+``PCG64`` from ``derive_trial_seed``; ``_trial_states`` yields the same
+states from numpy's seeding arithmetic over arrays of trials, and
+``estimate`` loads each into one reused Generator, with one
+``_TrialSampler`` keeping the run's attempt totals.  Within a trial the
+stream runs top-down: one Geom(p_swap) attempt count per requested link
+at each level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
 request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
 then draws them pulse by pulse; a larger one draws each link's sums
 from exact compound distributions: a gamma and a Poisson variate per
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +139,20 @@ def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.nda
     return state
 
 
-def _trial_seeds(root_seed: int, start: int, stop: int) -> np.ndarray:
-    """``derive_trial_seed(root_seed, i)`` for i in [start, stop), as uint64.
+def _trial_states(root_seed: int, start: int, stop: int) -> Iterator[dict]:
+    """Yield ``PCG64(derive_trial_seed(root_seed, i)).state`` for i in
+    [start, stop).
 
     The root's words are zero-padded to the pool size, as numpy pads
     them when a spawn key follows; an index of 2^32 or more is two
-    words, so a range may not straddle 2^32.
+    words, so a range may not straddle 2^32.  The trial seed's two
+    words, least significant first, are the entropy of PCG64's
+    ``SeedSequence(seed)``: numpy reads a seed below 2^32 as one word,
+    which mixes like the two words (seed, 0) since missing pool words
+    hash as zeros.  PCG64 takes four 64-bit words from it, the initial
+    state (high, low) and the stream (high, low), then runs its two-step
+    ``srandom``: inc = 2 stream + 1, state = (inc + initial) * mult +
+    inc, modulo 2^128.
     """
     if root_seed < 0:
         raise ValueError(f"root seed must be a non-negative integer, got {root_seed}")
@@ -158,30 +167,14 @@ def _trial_seeds(root_seed: int, start: int, stop: int) -> np.ndarray:
     words.append((index & np.uint64(_WORD)).astype(np.uint32))
     if start >= 2**32:
         words.append((index >> np.uint64(32)).astype(np.uint32))
-    low, high = _seed_sequence_state(words, 2)
-    return low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
-
-
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """``PCG64(s).state["state"]`` as (state, inc) for each uint64 seed s.
-
-    PCG64 takes four 64-bit words from ``SeedSequence(s)``, the initial
-    state (high, low) and the stream (high, low), then runs its two-step
-    ``srandom``: inc = 2 stream + 1, state = (inc + initial) * mult + inc,
-    modulo 2^128.  numpy reads a seed below 2^32 as one entropy word,
-    which mixes like the two words (s, 0) since missing pool words hash
-    as zeros.
-    """
-    words = _seed_sequence_state([(seeds & np.uint64(_WORD)).astype(np.uint32),
-                                  (seeds >> np.uint64(32)).astype(np.uint32)], 8)
+    state_words = _seed_sequence_state(_seed_sequence_state(words, 2), 8)
     wide = [low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
-            for low, high in zip(words[0::2], words[1::2])]
+            for low, high in zip(state_words[0::2], state_words[1::2])]
     mask = (1 << 128) - 1
-    states = []
     for init_high, init_low, stream_high, stream_low in zip(*(w.tolist() for w in wide)):
         inc = ((stream_high << 64 | stream_low) << 1 | 1) & mask
-        states.append((((init_high << 64 | init_low) + inc) * _PCG64_MULT + inc & mask, inc))
-    return states
+        state = ((init_high << 64 | init_low) + inc) * _PCG64_MULT + inc & mask
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 # Requests expecting more elementary links than this are sampled in
@@ -232,8 +225,9 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -
 
 class _TrialSampler:
     """Trials of one (params, policy, stage_probs) run, each on a given
-    Generator; the stage probabilities are validated and both guards run
-    once, when the sampler is built."""
+    Generator, and the run's attempt totals (Python ints, so exact); the
+    stage probabilities are validated and both guards run once, when the
+    sampler is built."""
 
     def __init__(self, params: ProtocolParams, policy: SimPolicy,
                  stage_probs: tuple[float, float, float] | None = None):
@@ -258,45 +252,37 @@ class _TrialSampler:
         self.p_l, self.p_0, self.p_sw = p_l, p_0, p_sw
         self.slot = 1.0 / params.r
         self.flight = params.l0 / params.c
+        self.prep_attempts = 0
+        self.link_attempts = 0
+        self.swap_attempts = [0] * params.n
 
-    def __call__(self, rng: np.random.Generator) -> TrialResult:
-        """One trial drawn from ``rng``."""
-        p_l, p_0, p_sw = self.p_l, self.p_0, self.p_sw
-        slot, flight = self.slot, self.flight
-        prep_attempts = 0
-        link_attempts = 0
-        swap_attempts = [0] * self.n
+    def __call__(self, rng: np.random.Generator) -> float:
+        """Total time of one trial drawn from ``rng``."""
+        return float(self.durations(rng, self.n, 1)[0])
 
-        def durations(level: int, m: int) -> np.ndarray:
-            """Durations of ``m`` independent level-``level`` links.
+    def durations(self, rng: np.random.Generator, level: int, m: int) -> np.ndarray:
+        """Durations of ``m`` independent level-``level`` links.
 
-            Failed subtrees restart from scratch, so a link lasts the sum, over
-            its attempts, of the longer of two fresh links one level down.
-            """
-            nonlocal prep_attempts, link_attempts
-            # A link at this level expects (2/p_swap)^level elementary links.
-            if m > 1 and m * (2.0 / p_sw) ** level > _SLICE_LINKS:
-                half = m // 2
-                return np.concatenate((durations(level, half), durations(level, m - half)))
-            attempts = rng.geometric(p_0 if level == 0 else p_sw, size=m)
-            total = int(attempts.sum())
-            if level == 0:
-                link_attempts += total
-                pulses, draws = _level0_pulses(rng, p_l, attempts)
-                prep_attempts += draws
-                return pulses * slot + attempts * flight
-            swap_attempts[level - 1] += total
-            left, right = durations(level - 1, 2 * total).reshape(2, total)
-            rounds = np.maximum(left, right)
-            if self.swap_comm_time:
-                rounds += 2 ** (level - 1) * flight
-            return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
-
-        total_time = float(durations(self.n, 1)[0])
-        return TrialResult(
-            total_time=total_time,
-            counts=StageCounts(prep_attempts, link_attempts, tuple(swap_attempts)),
-        )
+        Failed subtrees restart from scratch, so a link lasts the sum, over
+        its attempts, of the longer of two fresh links one level down.
+        """
+        # A link at this level expects (2/p_swap)^level elementary links.
+        if m > 1 and m * (2.0 / self.p_sw) ** level > _SLICE_LINKS:
+            half = m // 2
+            return np.concatenate((self.durations(rng, level, half), self.durations(rng, level, m - half)))
+        attempts = rng.geometric(self.p_0 if level == 0 else self.p_sw, size=m)
+        total = int(attempts.sum())
+        if level == 0:
+            self.link_attempts += total
+            pulses, draws = _level0_pulses(rng, self.p_l, attempts)
+            self.prep_attempts += draws
+            return pulses * self.slot + attempts * self.flight
+        self.swap_attempts[level - 1] += total
+        left, right = self.durations(rng, level - 1, 2 * total).reshape(2, total)
+        rounds = np.maximum(left, right)
+        if self.swap_comm_time:
+            rounds += 2 ** (level - 1) * self.flight
+        return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
 
 
 def simulate_trial(
@@ -316,7 +302,9 @@ def simulate_trial(
     draws or a trial more than ``_MAX_TRIAL_LINKS`` elementary links.
     """
     sampler = _TrialSampler(params, policy, stage_probs)
-    return sampler(np.random.Generator(np.random.PCG64(seed)))
+    total_time = sampler(np.random.Generator(np.random.PCG64(seed)))
+    counts = StageCounts(sampler.prep_attempts, sampler.link_attempts, tuple(sampler.swap_attempts))
+    return TrialResult(total_time=total_time, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -361,8 +349,9 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     """Aggregate ``trials`` independent trials with substream seeding.
 
     Trial i runs exactly as ``simulate_trial(params, policy,
-    derive_trial_seed(seed, i))``; the generator states are derived
-    ``_SEED_CHUNK`` trials at a time and loaded into one Generator.
+    derive_trial_seed(seed, i))``: ``_trial_states`` yields the generator
+    states ``_SEED_CHUNK`` trials at a time, each is loaded into one
+    reused Generator, and the sampler keeps the run's attempt totals.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -372,24 +361,12 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     except MemoryError as exc:
         raise SimulationGuardError(f"{trials} trials need {8.0 * trials:.3g} bytes for their total times, "
                                    "more than can be allocated") from exc
-    prep = 0
-    link = 0
-    swaps = [0] * params.n
     # The state is replaced before every trial.
     rng = np.random.Generator(np.random.PCG64(0))
-    pcg_state = {"state": 0, "inc": 0}
-    bit_state = {"bit_generator": "PCG64", "state": pcg_state, "has_uint32": 0, "uinteger": 0}
     for start in range(0, trials, _SEED_CHUNK):
-        stop = min(start + _SEED_CHUNK, trials)
-        for i, (state, inc) in enumerate(_pcg64_states(_trial_seeds(seed, start, stop)), start):
-            pcg_state["state"], pcg_state["inc"] = state, inc
-            rng.bit_generator.state = bit_state
-            res = sample(rng)
-            totals[i] = res.total_time
-            prep += res.counts.prep_attempts
-            link += res.counts.link_attempts
-            for lvl in range(params.n):
-                swaps[lvl] += res.counts.swap_attempts[lvl]
+        for i, state in enumerate(_trial_states(seed, start, min(start + _SEED_CHUNK, trials)), start):
+            rng.bit_generator.state = state
+            totals[i] = sample(rng)
     p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
     std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return EstimateResult(
@@ -399,9 +376,9 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
         p50=float(p50),
         p90=float(p90),
         p99=float(p99),
-        prep_attempts=prep,
-        link_attempts=link,
-        swap_attempts=tuple(swaps),
+        prep_attempts=sample.prep_attempts,
+        link_attempts=sample.link_attempts,
+        swap_attempts=tuple(sample.swap_attempts),
         swap_comm_time=policy.swap_comm_time,
     )
 

@@ -86,6 +86,15 @@ def test_config_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "rates", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "params.json"
     cfg.write_text('{"n": 6}')
@@ -228,13 +237,30 @@ def test_sweep_empty_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bounds, flag", [
+    (("--param", "eta_d", "--from", "nan", "--to", "1"), "--from"),
+    (("--param", "n", "--from", "0", "--to", "inf", "--steps", "2"), "--to"),
+    (("--param", "n", "--from=-inf", "--to", "1"), "--from"),
+    # Finite bounds whose span overflows, so linspace would yield nan.
+    (("--param", "n", "--from=-1.7e308", "--to", "1.7e308", "--steps", "3"), "--to minus --from"),
+], ids=["from-nan", "to-inf-steps", "from-minus-inf", "span-overflows"])
+def test_sweep_non_finite_bound_exits_2(capsys, bounds, flag):
+    code, out, err = run_cli(capsys, "sweep", *bounds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be a finite number")
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--trials", "1000000000000000"),
     ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1000000000000000"),
+    ("sweep", "--param", "eta_d", "--from", "0", "--to", "1e15"),
+    ("sweep", "--param", "n", "--from", "0", "--to", "1e300"),
 ])
 def test_unallocatable_count_exits_3(capsys, argv):
-    # 10^15 float64 values (8 PB) cannot be allocated; the request fails
-    # at once, before any memory is touched.
+    # 10^15 float64 values or list slots (8 PB) cannot be allocated, and
+    # 10^300 integer grid points overflow a list's length; the request
+    # fails at once, before any memory is touched.
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""

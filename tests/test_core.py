@@ -1,9 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeaterlab.core import (
+    _CONFIG_KEYS,
     ConfigError,
     ProtocolParams,
     load_config,
@@ -85,6 +89,32 @@ def test_unknown_key_rejected():
 def test_parse_error_reports_line():
     with pytest.raises(ConfigError, match="line"):
         load_config('{"n": 6,\n "x" }')
+
+
+@pytest.mark.parametrize("document, match", [
+    ("[" * 100_000 + "]" * 100_000, "recursion"),
+    ('{"n": 1' + "0" * 5000 + "}", "digits"),
+    ('{"l_km": 1' + "0" * 400 + "}", "l_km"),
+], ids=["deep-nesting", "5001-digit-n", "401-digit-l_km"])
+def test_unparseable_numbers_and_nesting_rejected(document, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(document)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(doc=st.dictionaries(st.sampled_from(list(_CONFIG_KEYS)) | st.text(max_size=8),
+                           _SCALARS | st.lists(_SCALARS, max_size=3), max_size=4))
+def test_load_config_returns_valid_params_or_config_error(doc):
+    # Any flat JSON object either loads to accepted parameters or is refused as a config error.
+    try:
+        params = load_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert validate(params).ok
 
 
 def test_non_integer_n_rejected():

@@ -14,10 +14,9 @@ from repeaterlab.sim import (
     SimulationGuardError,
     _first_order,
     _level0_pulses,
-    _pcg64_states,
     _SEED_CHUNK,
     _SLICE_DRAWS,
-    _trial_seeds,
+    _trial_states,
     compare_analytic,
     derive_trial_seed,
     estimate,
@@ -217,14 +216,10 @@ def test_bulk_seeding_matches_numpy(root):
     # Indices 0, either side of the first chunk boundary, and either side
     # of 2^32, where a spawn key takes a second word.
     for start, stop in ((0, 3), (_SEED_CHUNK - 2, _SEED_CHUNK + 2), (2**32 - 2, 2**32), (2**32, 2**32 + 2)):
-        seeds = _trial_seeds(root, start, stop)
-        expected = [int(np.random.SeedSequence(root, spawn_key=(i,)).generate_state(1, np.uint64)[0])
-                    for i in range(start, stop)]
-        assert seeds.tolist() == expected
-        assert expected == [derive_trial_seed(root, i) for i in range(start, stop)]
-        states = _pcg64_states(seeds)
-        for seed, (state, inc) in zip(expected, states):
-            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+        seeds = [derive_trial_seed(root, i) for i in range(start, stop)]
+        assert seeds == [int(np.random.SeedSequence(root, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+                         for i in range(start, stop)]
+        assert list(_trial_states(root, start, stop)) == [np.random.PCG64(seed).state for seed in seeds]
 
 
 def _draws(rng):
@@ -237,14 +232,12 @@ def test_reseeded_generator_draws_like_a_fresh_one():
     # One Generator re-seeded through its state dict draws what a fresh
     # Generator(PCG64(s)) draws, even after it buffered a 32-bit half word
     # and cached binomial set-up under the previous state.
-    seeds = _trial_seeds(7, 0, 4)
     rng = np.random.Generator(np.random.PCG64(0))
-    for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
+    for i, state in enumerate(_trial_states(7, 0, 4)):
         rng.integers(0, 2**16, dtype=np.uint32)
         rng.binomial(1000, 0.3)
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        assert _draws(rng) == _draws(np.random.Generator(np.random.PCG64(seed)))
+        rng.bit_generator.state = state
+        assert _draws(rng) == _draws(np.random.Generator(np.random.PCG64(derive_trial_seed(7, i))))
 
 
 def test_bulk_seeding_rejects_negative_root():
@@ -313,7 +306,7 @@ def test_monotone_degradation_paired_seeds():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [1.0, 0.9, 0.5, 0.1, 0.0123, 1e-6, 1e-9])
-def test_expected_pulses_markov_solve_matches_closed_form(p):
+def test_expected_pulses_both_ready_closed_form(p):
     # E[max of two iid geometrics] = 2/p - 1/(p(2-p))
     closed = 2.0 / p - 1.0 / (p * (2.0 - p))
     assert expected_pulses_both_ready(p) == pytest.approx(closed, rel=1e-12)
