@@ -13,6 +13,10 @@ grid whose array cannot be allocated).  Flag overrides take precedence
 over the config file, which takes precedence over the paper defaults.
 REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
+
+Each subcommand imports the layer it runs inside its own function, so
+``rates``, the integer ``sweep`` and ``reproduce-paper`` load no numpy,
+``simulate`` no ``optics``/``fock`` and ``bsm-verify`` no ``sim``.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ import json
 import math
 import os
 import sys
+import time
 
-import numpy as np
-
-from . import optics, rates, sim
+from . import __version__, rates
 from .core import _CONFIG_KEYS, ConfigError, ProtocolParams, load_config, paper_defaults, validate
-from .fock import dark_state_residual
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -129,6 +131,8 @@ def cmd_rates(args, params: ProtocolParams) -> int:
 
 
 def cmd_simulate(args, params: ProtocolParams) -> int:
+    from . import sim
+
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
@@ -148,6 +152,8 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        import numpy as np
+
         try:
             grid = np.linspace(args.start, args.stop, args.steps)
         except MemoryError as exc:
@@ -184,6 +190,11 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
 
 def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) -> list[dict]:
     """Run the optics invariant suite; one record per check."""
+    import numpy as np
+
+    from . import optics
+    from .fock import dark_state_residual
+
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
 
@@ -350,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
         return args.func(args, _load_params(args))
     except ConfigError as exc:
@@ -358,6 +370,11 @@ def main(argv=None) -> int:
     except rates.GuardError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    finally:
+        if args.verbose:
+            loaded = sorted(m for m in sys.modules if m.startswith("repeaterlab."))
+            print(f"repeaterlab {__version__} {args.command}: {time.perf_counter() - start:.6f} s, "
+                  f"modules {' '.join(loaded)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -201,9 +201,10 @@ def _negative_binomial(rng: np.random.Generator, k: np.ndarray, odds: float) -> 
     return rng.poisson(rng.standard_gamma(k) * odds)
 
 
-def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -> tuple[np.ndarray, int]:
+def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
+                   total: int) -> tuple[np.ndarray, int]:
     """Pulse slots of links with ``launches`` launches each, and the
-    total preparation draws.
+    total preparation draws; ``total`` is ``launches.sum()``.
 
     Each launch waits max(G1, G2) slots for iid Geom(p_l) preparations at
     the two ends and counts G1 + G2 draws.  Up to ``_SLICE_DRAWS`` draws
@@ -211,7 +212,6 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -
     min + [no tie] excess and G1 + G2 = 2 min + [no tie] excess, with
     min ~ Geom(1 - q^2), P(no tie) = 2q/(2 - p_l), excess ~ Geom(p_l).
     """
-    total = int(launches.sum())
     if 2 * total <= _SLICE_DRAWS:
         draws = rng.geometric(p_l, size=(2, total))
         starts = np.cumsum(launches) - launches
@@ -274,7 +274,7 @@ class _TrialSampler:
         total = int(attempts.sum())
         if level == 0:
             self.link_attempts += total
-            pulses, draws = _level0_pulses(rng, self.p_l, attempts)
+            pulses, draws = _level0_pulses(rng, self.p_l, attempts, total)
             self.prep_attempts += draws
             return pulses * self.slot + attempts * self.flight
         self.swap_attempts[level - 1] += total

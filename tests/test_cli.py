@@ -348,6 +348,11 @@ def test_verbose_writes_to_stderr(capsys):
     code, _, err = run_cli(capsys, "rates", "--verbose")
     assert code == 0
     assert "parameters" in err
+    # The last line names the version, the subcommand, its wall time and
+    # the package modules loaded.
+    manifest = err.splitlines()[-1]
+    assert manifest.startswith(f"repeaterlab {repeaterlab.__version__} rates: ")
+    assert " s, modules " in manifest and "repeaterlab.rates" in manifest.split()
 
 
 # Extremes that validate() accepts, per parameter kind.
@@ -404,17 +409,25 @@ def test_no_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_process_loads_no_scipy():
-    # The package runs on numpy alone; scipy is a test dependency.
+@pytest.mark.parametrize("argv, unused", [
+    (["rates"], ["numpy"]),
+    (["sweep", "--param", "n", "--from", "1", "--to", "3"], ["numpy"]),
+    (["reproduce-paper"], ["numpy"]),
+    (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], ["repeaterlab.optics", "repeaterlab.fock"]),
+    (["bsm-verify", "--phases", "1"], ["repeaterlab.sim"]),
+], ids=["rates", "sweep-n", "reproduce-paper", "simulate", "bsm-verify"])
+def test_cli_process_loads_only_its_layer(argv, unused):
+    # A subcommand imports only the layer it runs; scipy, a test
+    # dependency, is never loaded.
     src = str(Path(repeaterlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from repeaterlab.cli import main\n"
-        "assert main(['rates']) == 0\n"
-        "assert main(['bsm-verify', '--phases', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    res = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "[]"
+    res = subprocess.run([sys.executable, "-c", script, *argv, "--format", "jsonl"],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.partition(".")[0] == "scipy" or m in unused] == []

@@ -138,8 +138,8 @@ def test_level0_paths_agree_in_distribution(p_l):
     launches = np.full(links, k)
     assert 2 * k <= _SLICE_DRAWS < 2 * k * links
     rng = np.random.default_rng(8128)
-    direct = [_level0_pulses(rng, p_l, launches[:1]) for _ in range(20_000)]
-    compound = [_level0_pulses(rng, p_l, launches) for _ in range(1500)]
+    direct = [_level0_pulses(rng, p_l, launches[:1], k) for _ in range(20_000)]
+    compound = [_level0_pulses(rng, p_l, launches, k * links) for _ in range(1500)]
     _assert_agree([pulses[0] for pulses, _ in direct], np.concatenate([pulses for pulses, _ in compound]))
     # Only a request's total prep attempts are returned.
     _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
