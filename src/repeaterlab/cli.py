@@ -149,9 +149,25 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
     for flag, bound in (("--from", args.start), ("--to", args.stop), ("--to minus --from", args.stop - args.start)):
         if not math.isfinite(bound):
             raise ConfigError(f"{flag} must be a finite number, got {bound}")
+
+    def sweep_point(value):
+        if key == "n":
+            if float(value) != int(value):
+                raise ConfigError(f"sweep over n needs integer values, got {value}")
+            value = int(value)
+        point = params.with_overrides(**{key: value})
+        check = validate(point)
+        if not check.ok:
+            raise ConfigError(f"sweep value {value} invalid for: " + ", ".join(check.violations))
+        return value, point
+
+    # Each parameter's valid values form an interval, so checking the
+    # grid's ends refuses an invalid grid before it is built.
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        for value in (args.start, args.stop)[:args.steps]:
+            sweep_point(value)
         import numpy as np
 
         try:
@@ -162,6 +178,8 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
         values = [float(v) for v in grid]
     else:
         lo, hi = math.ceil(args.start), math.floor(args.stop)
+        for value in (lo, hi)[:max(0, hi - lo + 1)]:
+            sweep_point(value)
         try:
             values = list(range(lo, hi + 1))
         except (MemoryError, OverflowError) as exc:
@@ -172,14 +190,7 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
 
     records = []
     for value in values:
-        if key == "n":
-            if float(value) != int(value):
-                raise ConfigError(f"sweep over n needs integer values, got {value}")
-            value = int(value)
-        point = params.with_overrides(**{key: value})
-        check = validate(point)
-        if not check.ok:
-            raise ConfigError(f"sweep value {value} invalid for: " + ", ".join(check.violations))
+        value, point = sweep_point(value)
         records.append({key: value, **rates.t_total(point).to_record()})
     best = min(range(len(records)), key=lambda i: records[i]["t_total"])
     for i, rec in enumerate(records):

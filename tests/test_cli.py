@@ -251,10 +251,30 @@ def test_sweep_non_finite_bound_exits_2(capsys, bounds, flag):
     assert err.startswith(f"error: {flag} must be a finite number")
 
 
+def test_sweep_checks_grid_ends_before_building_it():
+    # eta_d = 1e10 is invalid, so the 10^10-point grid (about 80 GB as a
+    # list) is never built.  The child process runs under a 1 GiB
+    # address-space limit, so a regression fails there, not in this one.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(repeaterlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys\nfrom repeaterlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    res = subprocess.run([sys.executable, "-c", script, "sweep", "--param", "eta_d", "--from", "0", "--to", "1e10"],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                         preexec_fn=limit_memory, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: sweep value 10000000000 invalid for: eta_d")
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--trials", "1000000000000000"),
     ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1000000000000000"),
-    ("sweep", "--param", "eta_d", "--from", "0", "--to", "1e15"),
+    ("sweep", "--param", "L", "--from", "1", "--to", "1e15"),
     ("sweep", "--param", "n", "--from", "0", "--to", "1e300"),
 ])
 def test_unallocatable_count_exits_3(capsys, argv):

@@ -1,18 +1,18 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
 
 from repeaterlab import rates
-from repeaterlab.core import paper_defaults
+from repeaterlab.core import paper_defaults, validate
 from repeaterlab.sim import (
     SimPolicy,
     SimulationGuardError,
-    _first_order,
+    _expected_max_slots,
     _level0_pulses,
     _SEED_CHUNK,
     _SLICE_DRAWS,
@@ -312,27 +312,95 @@ def test_expected_pulses_both_ready_closed_form(p):
     assert expected_pulses_both_ready(p) == pytest.approx(closed, rel=1e-12)
 
 
-@settings(deadline=None)
-@given(
-    a=st.floats(0.25, 1.0 - 1e-6),
-    n=st.integers(1, 20_000),
-    state=st.floats(1e-3, 10.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_first_order_recursion_matches_lfilter(a, n, state, seed):
-    x = np.random.default_rng(seed).random(n)
-    expected, _ = lfilter([1.0], [1.0, -a], x, zi=[a * state])
-    np.testing.assert_allclose(_first_order(a, x, state), expected, rtol=1e-12, atol=0.0)
+def _pmf_expected_max(p_l, p_0, flight):
+    """E[max(T_1, T_2)] in slots and the pmf mass left off the lattice,
+    from T's pmf built slot by slot by the renewal equation f_T = p_0 f_Y
+    + (1 - p_0) f_Y * f_T, Y = M + flight the length of one launch."""
+    q = 1.0 - p_l
+    m = np.arange(1, int(40.0 / p_l) + 2)
+    f_y = np.concatenate((np.zeros(flight + 1), 2 * p_l * q ** (m - 1) - (1 - q * q) * q ** (2 * m - 2)))
+    size = int(60.0 * (flight + expected_pulses_both_ready(p_l)) / p_0)
+    f_t = np.zeros(size)
+    f_t[:f_y.size] = p_0 * f_y[:size]
+    for t in range(flight + 1, size):
+        k = min(t, f_y.size - 1)
+        f_t[t] += (1.0 - p_0) * np.dot(f_y[1:k + 1], f_t[t - 1::-1][:k])
+    cdf = np.cumsum(f_t)
+    return float(np.sum((1.0 - cdf) * (1.0 + cdf))), 1.0 - cdf[-1]
+
+
+@settings(deadline=None, max_examples=30)
+@given(p_l=st.floats(0.05, 1.0), p_0=st.floats(0.05, 0.5), flight=st.integers(1, 16))
+def test_expected_max_matches_pmf_convolution(p_l, p_0, flight):
+    expected, tail = _pmf_expected_max(p_l, p_0, flight)
+    assume(tail < 1e-14)
+    assert _expected_max_slots(p_l, p_0, flight) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("params, value", [
-    (N1, 0.24172615879469816),
+    (N1, 0.24172615879635473),
     (paper_defaults().with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0,
                                      n=1, L=2.0, c=1.0, r=4.0, L_att=0.25), 545.1959813276652),
 ])
 def test_oracle_n1_pinned_values(params, value):
-    # Values of the 0.2.0 oracle (scipy lfilter recursions, 1e-10 cutoff).
+    # N1: the survival recursion of the 0.4.4 oracle re-run in
+    # np.longdouble, equal at the cut-offs S < 1e-7 and S < 1e-9; its
+    # float64 run gave 0.24172615879469816, 6.8e-12 off by round-off.
+    # The small case: the 0.2.0 oracle (scipy lfilter recursions).
     assert exact_expected_time_small(params, OFF) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("l_km", [320.0, 1280.0])
+def test_oracle_n1_long_links_fast_and_small(l_km):
+    # p_0 is 2.3e-4 at 320 km and 7.6e-14 at 1280 km; the cost does not
+    # follow 1/p_0.
+    params = paper_defaults().with_overrides(L=l_km, n=1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        value = exact_expected_time_small(params, OFF)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 4 * 2**20
+    assert math.isfinite(value) and value > rates.t_total(params).t_total
+
+
+def test_oracle_n1_320km_matches_survival_recursion():
+    # The 0.4.4 survival recursion (66 s) gave 17.218003017434235.
+    params = paper_defaults().with_overrides(L=320.0, n=1)
+    assert exact_expected_time_small(params, OFF) == pytest.approx(17.218003017434235, rel=1e-9, abs=0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    etas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    n=st.integers(0, 1),
+    length=st.floats(1e-3, 1e5),
+    l_att=st.floats(1e-2, 1e6),
+    r=st.floats(1e-2, 1e12),
+    flight=st.integers(1, 2**24),
+)
+def test_oracle_finite_or_refused(etas, n, length, l_att, r, flight):
+    # Any accepted n <= 1 parameter set with an on-lattice flight gives a
+    # finite time above one link's mean, or a GuardError, and soon.
+    params = paper_defaults().with_overrides(**dict(zip(("eta_p", "eta_s", "eta_e1", "eta_e2", "eta_d"), etas)),
+                                             n=n, L=length, L_att=l_att, r=r)
+    params = params.with_overrides(c=params.l0 * r / flight)
+    assume(validate(params).ok)
+    start = time.perf_counter()
+    try:
+        value = exact_expected_time_small(params, OFF)
+    except SimulationGuardError:
+        value = None
+    assert time.perf_counter() - start < 3.0
+    if value is not None:
+        p_l, p_0, _ = rates.stage_probabilities(params)
+        single = (expected_pulses_both_ready(p_l) / params.r + params.l0 / params.c) / p_0
+        assert math.isfinite(value)
+        assert value > single if n else value == pytest.approx(single, rel=1e-12)
 
 
 def test_oracle_n0_closed_form_structure():
