@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repeaterlab import rates
+from repeaterlab import rates, sim
 from repeaterlab.core import paper_defaults, validate
 from repeaterlab.sim import (
     SimPolicy,
@@ -32,6 +32,8 @@ ON = SimPolicy(swap_comm_time=True)
 # L_0 stays 80 km (the full 1280 km link would have p_0 ~ 1e-14).
 N0 = paper_defaults().with_overrides(L=80.0, n=0)
 N1 = paper_defaults().with_overrides(L=160.0, n=1)
+# The paper's preparation probability, about 6.64e-4.
+P_L = rates.stage_probabilities(paper_defaults())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +131,17 @@ def _assert_agree(direct, compound, links=1):
         assert abs(vd - vc / links) <= 4.0 * math.hypot(sd, sc / links)
 
 
-@pytest.mark.parametrize("p_l", [0.3, 0.99])
-def test_level0_paths_agree_in_distribution(p_l):
+@pytest.mark.parametrize("p_l, k", [
+    pytest.param(0.3, 64, id="0.3"),
+    pytest.param(0.99, 64, id="0.99"),
+    pytest.param(P_L, 116, id="paper"),
+])
+def test_level0_paths_agree_in_distribution(p_l, k):
     # The same launch counts through both level-0 paths: one link per call
     # is drawn pulse by pulse, 600 links per call from compound sums.  At
-    # p_l = 0.99 most links have no untied launch (B = 0).
-    k, links = 64, 600
+    # p_l = 0.99 most links have no untied launch (B = 0); at the paper's
+    # p_l and about 1/p_0 = 116 launches, as at n = 4, most have no tie.
+    links = 600
     launches = np.full(links, k)
     assert 2 * k <= _SLICE_DRAWS < 2 * k * links
     rng = np.random.default_rng(8128)
@@ -143,6 +150,63 @@ def test_level0_paths_agree_in_distribution(p_l):
     _assert_agree([pulses[0] for pulses, _ in direct], np.concatenate([pulses for pulses, _ in compound]))
     # Only a request's total prep attempts are returned.
     _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
+
+
+class _NoMixing:
+    """A Generator whose gamma variates are all 0, so both negative
+    binomials of the compound level-0 path are 0 and a link's pulses are
+    its launches plus its untied launches."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_gamma(self, shape):
+        return np.zeros(np.shape(shape))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _untied_counts(p_l, k, links, calls, seed):
+    """Untied launches of ``links * calls`` compound links of k launches."""
+    assert 2 * k * links > _SLICE_DRAWS
+    rng, launches = _NoMixing(seed), np.full(links, k)
+    return np.concatenate([_level0_pulses(rng, p_l, launches, k * links)[0] - k for _ in range(calls)])
+
+
+def test_compound_untied_count_is_binomial():
+    # A launch is untied with probability 1 - s, s = p_l/(2 - p_l), so a
+    # link of K launches has Binomial(K, 1 - s) untied ones.
+    from scipy.stats import binom, chisquare
+
+    k, p_l = 6, 0.4
+    untied = _untied_counts(p_l, k, 20_000, 10, 61)
+    expected = untied.size * binom.pmf(np.arange(k + 1), k, 1.0 - p_l / (2.0 - p_l))
+    assert chisquare(np.bincount(untied, minlength=k + 1), expected).pvalue > 1e-3
+    # The paper's p_l at K = 116: no tie with probability (1 - s)^K = 0.96.
+    k, s = 116, P_L / (2.0 - P_L)
+    untied = _untied_counts(P_L, k, 2000, 50, 62)
+    no_tie = (1.0 - s) ** k
+    assert abs(np.mean(untied == k) - no_tie) <= 4.0 * math.sqrt(no_tie * (1.0 - no_tie) / untied.size)
+    assert abs(untied.mean() - k * (1.0 - s)) <= 4.0 * math.sqrt(k * s * (1.0 - s) / untied.size)
+    # p_l = 1: every launch is tied.
+    assert not _untied_counts(1.0, k, 2000, 1, 63).any()
+
+
+def test_n4_requests_draw_compound_sums(monkeypatch):
+    # At the paper defaults, n = 4 over 1280 km, nearly every level-0
+    # request needs more than _SLICE_DRAWS preparation draws and so is
+    # drawn from compound sums, not pulse by pulse.
+    draws = []
+
+    def spy(rng, p_l, launches, total):
+        draws.append(2 * int(launches.sum()))
+        return _level0_pulses(rng, p_l, launches, total)
+
+    monkeypatch.setattr(sim, "_level0_pulses", spy)
+    estimate(paper_defaults(), OFF, 300, 606)
+    assert len(draws) >= 300
+    assert np.mean(np.array(draws) <= _SLICE_DRAWS) < 0.02
 
 
 def test_compound_single_link_matches_closed_form():
