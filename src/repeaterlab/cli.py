@@ -15,7 +15,7 @@ REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
 
 Each subcommand imports the layer it runs inside its own function, so
-``rates``, the integer ``sweep`` and ``reproduce-paper`` load no numpy,
+``rates``, ``sweep`` and ``reproduce-paper`` load no numpy,
 ``simulate`` no ``optics``/``fock`` and ``bsm-verify`` no ``sim``.
 """
 
@@ -142,6 +142,23 @@ def cmd_simulate(args, params: ProtocolParams) -> int:
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
+    """The ``steps`` points of ``numpy.linspace(start, stop, steps)``,
+    computed in the same order (its branch for a step that underflows to
+    zero included), so they agree bit for bit."""
+    try:
+        values = [start] * steps
+    except (MemoryError, OverflowError) as exc:
+        raise rates.GuardError(f"--steps {steps} asks for {steps} grid points, more than can be allocated") from exc
+    if steps > 1:
+        span, div = stop - start, steps - 1
+        step = span / div
+        for i in range(1, div):
+            values[i] = start + (i * step if step else i / div * span)
+        values[-1] = stop
+    return values
+
+
 def cmd_sweep(args, params: ProtocolParams) -> int:
     key = args.param
     if key not in _CONFIG_KEYS.values():
@@ -168,14 +185,7 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
         for value in (args.start, args.stop)[:args.steps]:
             sweep_point(value)
-        import numpy as np
-
-        try:
-            grid = np.linspace(args.start, args.stop, args.steps)
-        except MemoryError as exc:
-            raise rates.GuardError(f"--steps {args.steps} needs {8.0 * args.steps:.3g} bytes for its grid, "
-                                   "more than can be allocated") from exc
-        values = [float(v) for v in grid]
+        values = _linspace(args.start, args.stop, args.steps)
     else:
         lo, hi = math.ceil(args.start), math.floor(args.stop)
         for value in (lo, hi)[:max(0, hi - lo + 1)]:

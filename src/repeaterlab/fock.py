@@ -9,10 +9,13 @@ algebra exact and inner products cheap.
 A loss channel of transmissivity eta splits each branch in closed form:
 the component that lost k of a mode's n photons carries the binomial
 amplitude sqrt(C(n, k) eta^(n-k) (1-eta)^k), so no environment mode is
-created and the registry never grows from losses.  Every mode's
-occupation is capped at ``D_MAX`` = 2: the protocol post-selects at most
-two photons per detection stage, and double clicks at one detector need
-occupation 2.
+created and the registry never grows from losses.  Detection is one
+step, ``WeightedEnsemble.measure``: it counts several modes at once
+through detectors of efficiency eta, with the same binomial weights for
+the photons the detectors miss, and removes the counted modes.  Every
+mode's occupation is capped at ``D_MAX`` = 2: the protocol post-selects
+at most two photons per detection stage, and double clicks at one
+detector need occupation 2.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ class ModeRegistry:
             return self._index[mode]
         except KeyError:
             raise RegistryMismatchError(f"mode {mode} not in registry") from None
-
-    def drop(self, mode: ModeId) -> "ModeRegistry":
-        i = self.index(mode)
-        return ModeRegistry(self.modes[:i] + self.modes[i + 1:])
 
 
 class PureState:
@@ -249,9 +248,10 @@ class PureState:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One number-resolved outcome: count, probability, conditional state."""
+    """One number-resolved outcome: the count at each measured mode, its
+    probability and the conditional state."""
 
-    outcome: int
+    outcome: tuple[int, ...]
     probability: float
     state: "WeightedEnsemble"
 
@@ -340,37 +340,43 @@ class WeightedEnsemble:
                     out.append((w * p, sub.normalized()))
         return WeightedEnsemble(out)
 
-    def measure_number(self, mode: ModeId) -> list[MeasurementOutcome]:
-        """Number-resolved measurement of one mode.
+    def measure(self, modes, eta: float) -> list[MeasurementOutcome]:
+        """Number-resolved measurement of ``modes`` by detectors of
+        efficiency ``eta``.
 
-        Returns every outcome with positive probability; the measured
-        mode is removed from the conditional states' registry.
-        Probabilities sum to 1 for a normalized ensemble.
+        A mode holding n photons records k with weight C(n, k) eta^k
+        (1 - eta)^(n - k), and each lost number leaves an orthogonal
+        branch.  Outcomes (one count per mode) come sorted; the measured
+        modes leave the conditional states' registry.  Components of
+        joint weight at most ``WEIGHT_PRUNE`` are dropped.
         """
-        i = self.registry.index(mode)
-        reduced = self.registry.drop(mode)
-        per_outcome: dict[int, list] = {}
-        probs: dict[int, float] = {}
+        if not 0.0 <= eta <= 1.0:
+            raise FockError(f"detector efficiency must be in [0, 1], got {eta}")
+        idxs = [self.registry.index(m) for m in modes]
+        if len(set(idxs)) != len(idxs):
+            raise FockError("measured modes must be distinct")
+        keep = [i for i in range(len(self.registry)) if i not in idxs]
+        reduced = ModeRegistry(tuple(self.registry.modes[i] for i in keep))
+        amp_factor = [[math.sqrt(math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k)) for k in range(n + 1)]
+                      for n in range(D_MAX + 1)]
+        per_outcome: dict[tuple, list] = {}
         for w, state in self.branches:
-            comps: dict[int, dict[tuple, complex]] = {}
+            comps: dict[tuple, dict[tuple, complex]] = {}  # (counts, photons) -> component
             for occ, amp in state.amps.items():
-                comp = comps.setdefault(occ[i], {})
-                comp[occ[:i] + occ[i + 1:]] = amp
-            for outcome, amps in comps.items():
+                ns = tuple(occ[i] for i in idxs)
+                for ks in product(*(range(n + 1) for n in ns)):
+                    coeff = math.prod(amp_factor[n][k] for n, k in zip(ns, ks))
+                    if coeff != 0.0:
+                        comps.setdefault((ks, ns), {})[tuple(occ[i] for i in keep)] = amp * coeff
+            for (ks, _), amps in comps.items():
                 sub = PureState(reduced, amps)
-                p = sub.norm() ** 2
-                if p <= WEIGHT_PRUNE:
-                    continue
-                per_outcome.setdefault(outcome, []).append((w * p, sub.normalized()))
-                probs[outcome] = probs.get(outcome, 0.0) + w * p
-        results = []
-        for outcome in sorted(per_outcome):
-            results.append(MeasurementOutcome(
-                outcome=outcome,
-                probability=probs[outcome],
-                state=WeightedEnsemble(per_outcome[outcome]),
-            ))
-        return results
+                p = w * sub.norm() ** 2
+                if p > WEIGHT_PRUNE:
+                    per_outcome.setdefault(ks, []).append((p, sub.normalized()))
+        return [
+            MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(parts))
+            for ks, parts in sorted(per_outcome.items())
+        ]
 
     def fidelity(self, target: PureState) -> float:
         """sum_branches weight * |<target|branch>|^2."""

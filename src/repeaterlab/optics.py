@@ -8,7 +8,8 @@ or D1&D4 / D2&D3 (cross class); the cross class needs a phase flip on
 one memory qubit's d arm, which is computed here from the engine rather
 than assumed.  The analyzer's input modes are the H/V polarizations of
 paths a and b (``BSM_INPUT_MODES``), and ``BSM_UNITARY`` is its composed
-mode map onto the detectors D1..D4.
+mode map onto the detectors D1..D4.  ``apply_bsm`` is that map followed
+by one efficiency-eta_d measurement of the four detector modes.
 
 The three pipelines (local entanglement, elementary link, swap) compose
 the state constructors with loss channels and the analyzer, and report
@@ -123,47 +124,38 @@ class BsmResult:
 
 
 def apply_bsm(photons: WeightedEnsemble, eta_d: float, p_d: float = 0.0) -> list[BsmResult]:
-    """Run the Bell analyzer: mode map, detector loss, number-resolved
-    measurement of all four detectors, then optional dark counts.
+    """Run the Bell analyzer: the mode map, then one number-resolved
+    measurement of the four detectors at efficiency ``eta_d``, then
+    optional dark counts.
 
     With probability ``p_d`` each detector independently adds one phantom
     click to its recorded count; the conditional memory of a recorded
     pattern is then the probability-weighted mixture over the compatible
     real patterns.  Pattern probabilities sum to 1.
     """
-    ens = WeightedEnsemble(
+    mapped = WeightedEnsemble(
         [(w, s.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)) for w, s in photons.branches]
     )
-    for mode in BSM_INPUT_MODES:
-        ens = ens.apply_loss(mode, eta_d)
-
-    partial: list[tuple[tuple[int, ...], float, WeightedEnsemble]] = [((), 1.0, ens)]
-    for mode in BSM_INPUT_MODES:
-        grown = []
-        for counts, prob, state in partial:
-            for mo in state.measure_number(mode):
-                grown.append((counts + (mo.outcome,), prob * mo.probability, mo.state))
-        partial = grown
-
+    measured = mapped.measure(BSM_INPUT_MODES, eta_d)
     if p_d == 0.0:
-        return [
-            BsmResult(DetectionPattern(counts), prob, memory)
-            for counts, prob, memory in sorted(partial, key=lambda t: t[0])
-        ]
+        return [BsmResult(DetectionPattern(mo.outcome), mo.probability, mo.state) for mo in measured]
 
     # Convolve with independent phantom clicks.
     recorded: dict[tuple[int, ...], list] = {}
     totals: dict[tuple[int, ...], float] = {}
-    for counts, prob, memory in partial:
+    for mo in measured:
         for phantom in np.ndindex(2, 2, 2, 2):
-            weight = prob * math.prod(p_d if f else (1.0 - p_d) for f in phantom)
+            weight = mo.probability * math.prod(p_d if f else (1.0 - p_d) for f in phantom)
             if weight <= 0.0:
                 continue
-            rec = tuple(c + f for c, f in zip(counts, phantom))
+            rec = tuple(c + f for c, f in zip(mo.outcome, phantom))
             totals[rec] = totals.get(rec, 0.0) + weight
-            recorded.setdefault(rec, []).extend((weight * w, s) for w, s in memory.branches)
+            recorded.setdefault(rec, []).extend((weight * w, s) for w, s in mo.state.branches)
+    # Weights conditional on the recorded pattern keep its memory nonempty
+    # however rare the pattern is.
     return [
-        BsmResult(DetectionPattern(rec), totals[rec], WeightedEnsemble(recorded[rec]))
+        BsmResult(DetectionPattern(rec), totals[rec],
+                  WeightedEnsemble([(w / totals[rec], s) for w, s in recorded[rec]]))
         for rec in sorted(recorded)
     ]
 

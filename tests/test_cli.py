@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repeaterlab
 from repeaterlab import rates
-from repeaterlab.cli import main
+from repeaterlab.cli import _linspace, main
 from repeaterlab.core import paper_defaults
 
 FAST_SIM = ["--l-km", "80", "--n", "0", "--trials", "400", "--seed", "7"]
@@ -226,6 +227,18 @@ def test_sweep_eta_d_monotone(capsys):
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
+def test_sweep_grid_matches_numpy_linspace():
+    rng = np.random.default_rng(2718)
+    ends = [0.0, 0.3, -2.5, 7.0, 1e-300, -1e-300, 1e300, -1e300]
+    ends += list(rng.choice([-1.0, 1.0], 24) * 10.0 ** rng.uniform(-300, 300, 24))
+    grids = [(a, b, steps) for a in ends for b in ends for steps in (1, 2, 3, 7, 100)]
+    # A span of three subnormal units over six steps underflows to a zero step.
+    grids.append((0.0, 1.5e-323, 7))
+    for start, stop, steps in grids:
+        expected = [float(v).hex() for v in np.linspace(start, stop, steps)]
+        assert [v.hex() for v in _linspace(start, stop, steps)] == expected, (start, stop, steps)
+
+
 def test_sweep_unknown_param_exits_2(capsys):
     code, _, err = run_cli(capsys, "sweep", "--param", "bogus", "--from", "1", "--to", "2")
     assert code == 2
@@ -276,11 +289,14 @@ def test_sweep_checks_grid_ends_before_building_it():
     ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1000000000000000"),
     ("sweep", "--param", "L", "--from", "1", "--to", "1e15"),
     ("sweep", "--param", "n", "--from", "0", "--to", "1e300"),
+    ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1" + "0" * 30),
+    ("sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1" + "0" * 400),
 ])
 def test_unallocatable_count_exits_3(capsys, argv):
     # 10^15 float64 values or list slots (8 PB) cannot be allocated, and
-    # 10^300 integer grid points overflow a list's length; the request
-    # fails at once, before any memory is touched.
+    # 10^300 integer grid points or 10^30 steps overflow a list's length
+    # (10^400 steps a float as well); the request fails at once, before
+    # any memory is touched.
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -432,10 +448,11 @@ def test_no_subcommand_exits_2():
 @pytest.mark.parametrize("argv, unused", [
     (["rates"], ["numpy"]),
     (["sweep", "--param", "n", "--from", "1", "--to", "3"], ["numpy"]),
+    (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], ["numpy"]),
     (["reproduce-paper"], ["numpy"]),
     (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], ["repeaterlab.optics", "repeaterlab.fock"]),
     (["bsm-verify", "--phases", "1"], ["repeaterlab.sim"]),
-], ids=["rates", "sweep-n", "reproduce-paper", "simulate", "bsm-verify"])
+], ids=["rates", "sweep-n", "sweep-steps", "reproduce-paper", "simulate", "bsm-verify"])
 def test_cli_process_loads_only_its_layer(argv, unused):
     # A subcommand imports only the layer it runs; scipy, a test
     # dependency, is never loaded.

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ def test_vacuum_measures_zero_everywhere():
     reg = two_modes()
     ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
     for mode in reg:
-        outcomes = ens.measure_number(mode)
+        outcomes = ens.measure((mode,), 1.0)
         assert len(outcomes) == 1
-        assert outcomes[0].outcome == 0
+        assert outcomes[0].outcome == (0,)
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
 
 
@@ -179,7 +180,7 @@ def test_loss_eta_zero_empties_mode():
 
 
 def _number_distribution(ens, mode):
-    return {mo.outcome: mo.probability for mo in ens.measure_number(mode)}
+    return {mo.outcome[0]: mo.probability for mo in ens.measure((mode,), 1.0)}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -230,9 +231,9 @@ def test_measure_superposition():
 def test_measure_two_photon():
     reg = two_modes()
     state = PureState(reg, {(2, 0): 1.0})
-    outcomes = WeightedEnsemble.from_pure(state).measure_number(reg.modes[0])
+    outcomes = WeightedEnsemble.from_pure(state).measure((reg.modes[0],), 1.0)
     assert len(outcomes) == 1
-    assert outcomes[0].outcome == 2
+    assert outcomes[0].outcome == (2,)
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
     # measured mode is removed
     assert len(outcomes[0].state.registry) == 1
@@ -255,6 +256,30 @@ def test_measure_probabilities_sum_to_one(seed):
         for k, v in expected.items():
             if v > 1e-12:
                 assert dist[k] == pytest.approx(v, abs=1e-10)
+    for eta in (1.0, 0.55):
+        joint = {mo.outcome: mo.probability for mo in ens.measure(reg.modes, eta)}
+        # the same oracle, with each mode's binomial detection factor
+        expected = {}
+        for occ, amp in state.amps.items():
+            for ks in product(*(range(n + 1) for n in occ)):
+                factor = math.prod(math.comb(n, k) * eta**k * (1 - eta) ** (n - k) for n, k in zip(occ, ks))
+                expected[ks] = expected.get(ks, 0.0) + abs(amp) ** 2 * factor
+        assert sum(joint.values()) == pytest.approx(1.0, abs=1e-10)
+        for ks, v in expected.items():
+            if v > 1e-12:
+                assert joint[ks] == pytest.approx(v, abs=1e-10)
+
+
+def test_measure_outcome_rarer_than_prune_threshold():
+    # The |1,0> term carries joint weight 1e-7 * 1e-6, below WEIGHT_PRUNE:
+    # it is dropped instead of leaving an outcome without a state.
+    reg = two_modes()
+    light = PureState(reg, {(0, 1): math.sqrt(1 - 1e-6), (1, 0): 1e-3})
+    ens = WeightedEnsemble([(1 - 1e-7, PureState.vacuum(reg)), (1e-7, light)])
+    outcomes = ens.measure((reg.modes[0],), 1.0)
+    assert [mo.outcome for mo in outcomes] == [(0,)]
+    assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
+    assert outcomes[0].state.branch_count == 2
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,8 @@ def test_retrieve_t_to_s_full_loss_keeps_memory():
     out = retrieve_t_to_s(ens, 0.0, {"L": "a"})
     # photons all lost; each branch keeps its S excitation content
     for mode in (ModeId.photon("a", "H"), ModeId.photon("a", "V")):
-        dist = {mo.outcome: mo.probability for mo in out.measure_number(mode)}
-        assert dist == {0: pytest.approx(1.0, abs=1e-12)}
+        dist = {mo.outcome: mo.probability for mo in out.measure((mode,), 1.0)}
+        assert dist == {(0,): pytest.approx(1.0, abs=1e-12)}
     mean_s_excitation = sum(
         w * sum((occ[0] + occ[1]) * abs(a) ** 2 for occ, a in s.amps.items())
         for w, s in out.branches
@@ -237,6 +237,15 @@ def test_bsm_dark_counts_on_vacuum():
     assert probs[(0, 0, 0, 0)] == pytest.approx((1 - p_d) ** 4, abs=1e-12)
     assert probs[(1, 0, 0, 0)] == pytest.approx(p_d * (1 - p_d) ** 3, abs=1e-12)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "phi+"])
+def test_bsm_paper_dark_count_probability(kind):
+    # At p_d = 5e-6 the four-phantom patterns weigh p_d^4 ~ 6e-22, far
+    # below the ensemble's prune threshold; each still gets a memory.
+    ens = WeightedEnsemble.from_pure(PureState.vacuum(photon_registry())) if kind == "vacuum" else bell_photons(kind)
+    results = apply_bsm(ens, 1.0, p_d=5e-6)
+    assert sum(r.probability for r in results) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dark_counts_can_fake_acceptance():
