@@ -8,8 +8,9 @@ values round-trip, JSONL emits one record per line.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
 guard (a zero-probability stage or local rate r p_l, a time, rate or
 bound that is not a finite float, a link success probability too
-small to sample, or a --trials count, --steps count or integer sweep
-grid whose array cannot be allocated).  Flag overrides take precedence
+small to sample, a --trials count, --steps count or integer sweep
+grid whose array cannot be allocated, or a bsm-verify --phases above
+MAX_PHASES).  Flag overrides take precedence
 over the config file, which takes precedence over the paper defaults.
 REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
@@ -209,6 +210,10 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
     return EXIT_OK
 
 
+# Upper bound on --phases: the phase grid runs phases^2 local pipelines.
+MAX_PHASES = 64
+
+
 def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) -> list[dict]:
     """Run the optics invariant suite; one record per check."""
     import numpy as np
@@ -284,6 +289,11 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
 def cmd_bsm_verify(args, params: ProtocolParams) -> int:
     if args.phases < 1:
         raise ConfigError(f"--phases must be >= 1, got {args.phases}")
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    if args.phases > MAX_PHASES:
+        raise rates.GuardError(f"--phases {args.phases} asks for {args.phases}^2 = {args.phases ** 2} local pipelines, "
+                               f"more than the {MAX_PHASES}^2 = {MAX_PHASES ** 2} allowed")
     records = _bsm_checks(args.phases, args.tolerance, params)
     _emit(records, args.format, sys.stdout)
     return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_CHECK_FAILED
@@ -368,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("bsm-verify", parents=[shared], help="state-level invariant suite of the Bell analyzer")
-    p_verify.add_argument("--phases", type=int, default=4, help="phase-grid resolution per axis")
+    p_verify.add_argument("--phases", type=int, default=4,
+                          help=f"phase-grid resolution per axis, at most {MAX_PHASES}")
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override every check tolerance (default: per-check)")
     p_verify.set_defaults(func=cmd_bsm_verify)

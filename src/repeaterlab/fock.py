@@ -16,13 +16,23 @@ the photons the detectors miss, and removes the counted modes.  Every
 mode's occupation is capped at ``D_MAX`` = 2: the protocol post-selects
 at most two photons per detection stage, and double clicks at one
 detector need occupation 2.
+
+Occupation vectors are checked once, at the boundary: the public
+``PureState(registry, amps)`` rejects a vector of the wrong length or
+with an occupation outside [0, D_MAX].  The engine's own results
+(``normalized``, ``create``, ``apply_linear_map``, ``tensor``,
+``apply_loss``, ``measure``) skip that check, since each either checks
+the cutoff itself (``create``, ``apply_linear_map``) or can only lower
+counts or drop modes; they only prune small amplitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -141,6 +151,16 @@ class PureState:
         self.amps = clean
 
     @classmethod
+    def _unchecked(cls, registry: ModeRegistry, amps: dict) -> "PureState":
+        """Engine-internal constructor: prunes like ``__init__`` but
+        trusts the keys to be valid occupation vectors and the values to
+        be complex."""
+        state = object.__new__(cls)
+        state.registry = registry
+        state.amps = {occ: a for occ, a in amps.items() if abs(a) >= AMPLITUDE_PRUNE}
+        return state
+
+    @classmethod
     def vacuum(cls, registry: ModeRegistry) -> "PureState":
         """All-modes-empty state |0...0>."""
         if len(registry) == 0:
@@ -154,7 +174,14 @@ class PureState:
         nrm = self.norm()
         if nrm == 0.0:
             raise FockError("cannot normalize the zero state")
-        return PureState(self.registry, {o: a / nrm for o, a in self.amps.items()})
+        return self._divided(nrm)
+
+    def _divided(self, nrm: float) -> "PureState":
+        """This state over ``nrm``, pruned like ``__init__``."""
+        state = object.__new__(PureState)
+        state.registry = self.registry
+        state.amps = {o: b for o, a in self.amps.items() if abs(b := a / nrm) >= AMPLITUDE_PRUNE}
+        return state
 
     def amplitude(self, occ) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
@@ -170,7 +197,7 @@ class PureState:
                 raise CutoffExceededError(f"create on {mode} exceeds D_MAX={D_MAX}")
             new = occ[:i] + (n + 1,) + occ[i + 1:]
             out[new] = out.get(new, 0.0) + amp * math.sqrt(n + 1)
-        return PureState(self.registry, out)
+        return PureState._unchecked(self.registry, out)
 
     def inner(self, other: "PureState") -> complex:
         """<self|other>."""
@@ -205,6 +232,9 @@ class PureState:
         idxs = [self.registry.index(m) for m in modes]
         if len(set(idxs)) != k:
             raise FockError("mapped modes must be distinct")
+        # Per input mode (column of u): the (registry index, coefficient)
+        # pairs of the output modes it feeds, as Python complex numbers.
+        columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in u.T.tolist()]
 
         out: dict[tuple, complex] = {}
         for occ, amp in self.amps.items():
@@ -218,11 +248,7 @@ class PureState:
                 for _ in range(n_col):
                     nxt: dict[tuple, complex] = {}
                     for occ2, a2 in terms.items():
-                        for row in range(k):
-                            coeff = u[row, col]
-                            if coeff == 0.0:
-                                continue
-                            j = idxs[row]
+                        for j, coeff in columns[col]:
                             m_occ = occ2[j]
                             if m_occ + 1 > D_MAX:
                                 raise CutoffExceededError("linear map pushed occupation past D_MAX")
@@ -231,7 +257,7 @@ class PureState:
                     terms = nxt
             for occ3, a3 in terms.items():
                 out[occ3] = out.get(occ3, 0.0) + a3
-        return PureState(self.registry, out)
+        return PureState._unchecked(self.registry, out)
 
     def dump(self) -> str:
         """Debug listing: one line per term, "occupations TAB re TAB im"."""
@@ -244,6 +270,27 @@ class PureState:
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amps.items()))
         return f"PureState({terms})"
+
+
+@lru_cache(maxsize=64)
+def _binomial_factors(eta: float) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """For each photon number n <= D_MAX, the (k, sqrt(C(n, k) eta^k
+    (1 - eta)^(n - k))) pairs with a nonzero factor, k ascending: the
+    amplitude factor for k of n photons passing an efficiency-eta
+    channel or detector."""
+    table = []
+    for n in range(D_MAX + 1):
+        pairs = ((k, math.sqrt(math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k))) for k in range(n + 1))
+        table.append(tuple((k, f) for k, f in pairs if f != 0.0))
+    return tuple(table)
+
+
+def _picker(idxs: list[int]):
+    """Function that returns an occupation vector's entries at ``idxs``
+    as a tuple."""
+    if len(idxs) == 1:
+        return lambda occ, i=idxs[0]: (occ[i],)
+    return itemgetter(*idxs) if idxs else lambda occ: ()
 
 
 @dataclass(frozen=True)
@@ -272,11 +319,11 @@ class WeightedEnsemble:
             raise FockError("ensemble needs at least one branch with positive weight")
         registry = branches[0][1].registry
         for _, state in branches:
-            if state.registry != registry:
+            if state.registry is not registry and state.registry != registry:
                 raise RegistryMismatchError("all ensemble branches must share one registry")
-        grouped: dict[tuple, list] = {}
+        grouped: dict[frozenset, list] = {}
         for w, s in branches:
-            key = tuple(sorted(s.amps.items()))
+            key = frozenset(s.amps.items())
             entry = grouped.get(key)
             if entry is None:
                 grouped[key] = [w, s]
@@ -308,7 +355,7 @@ class WeightedEnsemble:
                 for o1, a1 in s1.amps.items():
                     for o2, a2 in s2.amps.items():
                         amps[o1 + o2] = a1 * a2
-                out.append((w1 * w2, PureState(registry, amps)))
+                out.append((w1 * w2, PureState._unchecked(registry, amps)))
         return WeightedEnsemble(out)
 
     def apply_loss(self, mode: ModeId, eta: float) -> "WeightedEnsemble":
@@ -321,23 +368,23 @@ class WeightedEnsemble:
         if not 0.0 <= eta <= 1.0:
             raise FockError(f"transmissivity must be in [0, 1], got {eta}")
         i = self.registry.index(mode)
+        factors = _binomial_factors(eta)
         out = []
         for w, state in self.branches:
             lost: dict[int, dict[tuple, complex]] = {}
             for occ, amp in state.amps.items():
                 n = occ[i]
-                for k in range(n + 1):
-                    coeff = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-                    if coeff == 0.0:
-                        continue
-                    new = occ[:i] + (n - k,) + occ[i + 1:]
-                    comp = lost.setdefault(k, {})
+                # Fewest photons lost first, the order the components are listed in.
+                for kept, coeff in reversed(factors[n]):
+                    new = occ[:i] + (kept,) + occ[i + 1:]
+                    comp = lost.setdefault(n - kept, {})
                     comp[new] = comp.get(new, 0.0) + amp * coeff
             for comp in lost.values():
-                sub = PureState(self.registry, comp)
-                p = sub.norm() ** 2
+                sub = PureState._unchecked(self.registry, comp)
+                nrm = sub.norm()
+                p = nrm ** 2
                 if p > WEIGHT_PRUNE:
-                    out.append((w * p, sub.normalized()))
+                    out.append((w * p, sub._divided(nrm)))
         return WeightedEnsemble(out)
 
     def measure(self, modes, eta: float) -> list[MeasurementOutcome]:
@@ -357,22 +404,31 @@ class WeightedEnsemble:
             raise FockError("measured modes must be distinct")
         keep = [i for i in range(len(self.registry)) if i not in idxs]
         reduced = ModeRegistry(tuple(self.registry.modes[i] for i in keep))
-        amp_factor = [[math.sqrt(math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k)) for k in range(n + 1)]
-                      for n in range(D_MAX + 1)]
+        measured, kept_modes = _picker(idxs), _picker(keep)
+        factors = _binomial_factors(eta)
+        # photons -> [((counts, photons), joint factor)], nonzero factors only
+        joint: dict[tuple, list] = {}
         per_outcome: dict[tuple, list] = {}
         for w, state in self.branches:
             comps: dict[tuple, dict[tuple, complex]] = {}  # (counts, photons) -> component
             for occ, amp in state.amps.items():
-                ns = tuple(occ[i] for i in idxs)
-                for ks in product(*(range(n + 1) for n in ns)):
-                    coeff = math.prod(amp_factor[n][k] for n, k in zip(ns, ks))
-                    if coeff != 0.0:
-                        comps.setdefault((ks, ns), {})[tuple(occ[i] for i in keep)] = amp * coeff
+                ns = measured(occ)
+                terms = joint.get(ns)
+                if terms is None:
+                    terms = joint[ns] = [
+                        ((tuple(k for k, _ in pairs), ns), coeff)
+                        for pairs in product(*(factors[n] for n in ns))
+                        if (coeff := math.prod(f for _, f in pairs)) != 0.0
+                    ]
+                rest = kept_modes(occ)
+                for key, coeff in terms:
+                    comps.setdefault(key, {})[rest] = amp * coeff
             for (ks, _), amps in comps.items():
-                sub = PureState(reduced, amps)
-                p = w * sub.norm() ** 2
+                sub = PureState._unchecked(reduced, amps)
+                nrm = sub.norm()
+                p = w * nrm ** 2
                 if p > WEIGHT_PRUNE:
-                    per_outcome.setdefault(ks, []).append((p, sub.normalized()))
+                    per_outcome.setdefault(ks, []).append((p, sub._divided(nrm)))
         return [
             MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(parts))
             for ks, parts in sorted(per_outcome.items())

@@ -336,6 +336,25 @@ def test_bsm_verify_impossible_tolerance_fails(capsys):
     assert any(not rec["pass"] for rec in records)
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_bsm_verify_rejects_bad_tolerance(capsys, tolerance):
+    # nan would print NaN tokens (not JSON) and fail every check; inf
+    # would pass every check.
+    code, out, err = run_cli(capsys, "bsm-verify", "--tolerance", tolerance, "--format", "jsonl")
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
+
+
+def test_bsm_verify_phase_grid_is_bounded(capsys):
+    # Refused before the grid is built: 10^18 local pipelines.
+    code, out, err = run_cli(capsys, "bsm-verify", "--phases", "1000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("aborted:")
+    assert "1000000000000000000" in err and "4096" in err
+
+
 # ---------------------------------------------------------------------------
 # reproduce-paper
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_measure_probabilities_sum_to_one(seed):
         for k, v in expected.items():
             if v > 1e-12:
                 assert dist[k] == pytest.approx(v, abs=1e-10)
-    for eta in (1.0, 0.55):
+    for eta in (1.0, 0.55, 0.0):
         joint = {mo.outcome: mo.probability for mo in ens.measure(reg.modes, eta)}
         # the same oracle, with each mode's binomial detection factor
         expected = {}
@@ -385,6 +385,17 @@ def test_tensor_product():
     eb = WeightedEnsemble.from_pure(PureState(rb, {(0,): 1.0}))
     out = ea.tensor(eb)
     assert out.branches[0][1].amps == {(1, 0): pytest.approx(1.0)}
+
+
+def test_constructor_rejects_bad_occupations():
+    # The public constructor is where occupation vectors are checked;
+    # the engine's own results skip the check.
+    reg = two_modes()
+    with pytest.raises(FockError):
+        PureState(reg, {(0, 0, 0): 1})
+    for occ in ((3, 0), (0, -1)):
+        with pytest.raises(CutoffExceededError):
+            PureState(reg, {occ: 1})
 
 
 def test_amplitude_pruning():
