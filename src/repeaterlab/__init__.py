@@ -24,4 +24,4 @@ __all__ = [
     "validate",
 ]
 
-__version__ = "0.4.8"
+__version__ = "0.4.9"

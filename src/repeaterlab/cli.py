@@ -138,7 +138,12 @@ def cmd_simulate(args, params: ProtocolParams) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
     seed = _default_seed(args)
+    start = time.perf_counter()
     comparison = sim.compare_analytic(params, policy, args.trials, seed)
+    est, elapsed = comparison.estimate, time.perf_counter() - start
+    args.manifest = (f", {est.trials} trials, {elapsed / est.trials * 1e6:.1f} us per trial, "
+                     f"{est.link_attempts / est.trials:.1f} link attempts and "
+                     f"{est.prep_attempts / est.trials:.1f} preparation draws per trial")
     _emit([{"seed": seed, **comparison.to_record()}], args.format, sys.stdout)
     return EXIT_OK
 
@@ -405,8 +410,8 @@ def main(argv=None) -> int:
     finally:
         if args.verbose:
             loaded = sorted(m for m in sys.modules if m.startswith("repeaterlab."))
-            print(f"repeaterlab {__version__} {args.command}: {time.perf_counter() - start:.6f} s, "
-                  f"modules {' '.join(loaded)}", file=sys.stderr)
+            print(f"repeaterlab {__version__} {args.command}: {time.perf_counter() - start:.6f} s"
+                  f"{getattr(args, 'manifest', '')}, modules {' '.join(loaded)}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ K, and gamma and Poisson variates for the untied launches' excess.
 Requests expecting more than ``_SLICE_LINKS`` elementary links are
 sampled in halves.  The two constants fix the stream: n = 0 over 80 km
 and n = 1 over 160 km draw one by one, n = 4 over 1280 km 99.5% compound.
+A single-link request, the top of every trial, draws the same variates
+but keeps its launch total and, at level 0, its duration as Python
+numbers, with the same IEEE operations: at n <= 1 much of a trial's
+cost is numpy's fixed cost per call.
 
 A trial is refused (SimulationGuardError) when one elementary link
 expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
@@ -40,8 +44,9 @@ the chain more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n;
 ``_TrialSampler`` runs these checks once per run.  ``estimate`` also
 refuses a trial count whose total-time array cannot be allocated.
 
-``exact_expected_time_small`` is the exact n <= 1 reference: a closed
-form at n = 0, a characteristic-function quadrature at n = 1.
+``exact_expected_time_small`` is the exact n <= 1 reference, under
+either policy: a closed form at n = 0, a characteristic-function
+quadrature at n = 1.
 """
 
 from __future__ import annotations
@@ -183,9 +188,10 @@ def _trial_states(root_seed: int, start: int, stop: int) -> Iterator[dict]:
 # halves, so a level-0 request holds at most this many links.
 _SLICE_LINKS = 2**16
 # A level-0 request needing more preparation draws than this draws its
-# links' compound sums: five numpy calls with array parameters, about 55 us,
-# plus 0.3 us a link, against 25 ns a draw.  2^14 keeps n = 0 over 80 km
-# and n = 1 over 160 km one by one, and n = 4 over 1280 km compound.
+# links' compound sums: about 65 us for five numpy calls with array
+# parameters at 11-15 us each, plus 0.3 us a link, against 25 ns a draw.
+# 2^14 keeps n = 0 over 80 km and n = 1 over 160 km one by one, and n = 4
+# over 1280 km compound.
 _SLICE_DRAWS = 2**14
 # Expected preparation draws 2/(p_l p_0) of one elementary link above
 # which a trial is refused.  Below it a link's expected draws, and so its
@@ -198,10 +204,15 @@ _MAX_LINK_DRAWS = 2**46
 _MAX_TRIAL_LINKS = 2**24
 
 
+# The segment start of a single-link request.
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
 def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
-                   total: int) -> tuple[np.ndarray, int]:
+                   total: int, starts: np.ndarray = _FIRST) -> tuple[np.ndarray, int]:
     """Pulse slots of links with ``launches`` launches each, and the
-    total preparation draws; ``total`` is ``launches.sum()``.
+    total preparation draws; ``total`` is ``launches.sum()`` and
+    ``starts`` each link's first launch in launch order.
 
     Each launch waits max(G1, G2) slots for iid Geom(p_l) preparations at
     the two ends and counts G1 + G2 draws.  Up to ``_SLICE_DRAWS`` draws
@@ -213,8 +224,7 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
     """
     if 2 * total <= _SLICE_DRAWS:
         draws = rng.geometric(p_l, size=(2, total))
-        starts = np.cumsum(launches) - launches
-        return np.add.reduceat(np.maximum(draws[0], draws[1]), starts), int(draws.sum())
+        return np.add.reduceat(np.maximum(draws[0], draws[1]), starts), int(np.add.reduce(draws, None))
     q, tie = 1.0 - p_l, p_l / (2.0 - p_l)
     mins = launches + rng.poisson(rng.standard_gamma(launches) * (q * q / (p_l * (2.0 - p_l))))
     first = rng.geometric(tie, size=launches.size)
@@ -222,7 +232,7 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
     untied = launches - tied
     untied[tied] -= rng.binomial(launches[tied] - first[tied], tie)
     pulses = mins + untied + rng.poisson(rng.standard_gamma(untied) * (q / p_l))
-    return pulses, int(pulses.sum()) + int(mins.sum())
+    return pulses, int(np.add.reduce(pulses)) + int(np.add.reduce(mins))
 
 
 class _TrialSampler:
@@ -263,7 +273,8 @@ class _TrialSampler:
         return float(self.durations(rng, self.n, 1)[0])
 
     def durations(self, rng: np.random.Generator, level: int, m: int) -> np.ndarray:
-        """Durations of ``m`` independent level-``level`` links.
+        """Durations of ``m`` independent level-``level`` links; one
+        level-0 link, a whole n = 0 trial, comes as a 1-tuple of a float.
 
         Failed subtrees restart from scratch, so a link lasts the sum, over
         its attempts, of the longer of two fresh links one level down.
@@ -273,18 +284,25 @@ class _TrialSampler:
             half = m // 2
             return np.concatenate((self.durations(rng, level, half), self.durations(rng, level, m - half)))
         attempts = rng.geometric(self.p_0 if level == 0 else self.p_sw, size=m)
-        total = int(attempts.sum())
+        if m == 1:
+            total, starts = int(attempts[0]), _FIRST
+        else:
+            starts = attempts.cumsum()
+            total = int(starts[-1])
+            starts -= attempts
         if level == 0:
             self.link_attempts += total
-            pulses, draws = _level0_pulses(rng, self.p_l, attempts, total)
+            pulses, draws = _level0_pulses(rng, self.p_l, attempts, total, starts)
             self.prep_attempts += draws
+            if m == 1:  # the same IEEE operations as the array expression
+                return (float(pulses[0]) * self.slot + total * self.flight,)
             return pulses * self.slot + attempts * self.flight
         self.swap_attempts[level - 1] += total
         left, right = self.durations(rng, level - 1, 2 * total).reshape(2, total)
         rounds = np.maximum(left, right)
         if self.swap_comm_time:
             rounds += 2 ** (level - 1) * self.flight
-        return np.add.reduceat(rounds, np.cumsum(attempts) - attempts)
+        return np.add.reduceat(rounds, starts)
 
 
 def simulate_trial(
@@ -507,24 +525,25 @@ def _expected_max_slots(p_l: float, p_0: float, flight: int) -> float:
 
 
 def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> float:
-    """Exact expected total time for n <= 1 chains, swap_comm_time off.
+    """Exact expected total time for n <= 1 chains.
 
     n = 0: (E[pulses until both ends ready]/r + L_0/c) / p_0 with the
-    closed-form pulse expectation of ``expected_pulses_both_ready``.
+    closed-form pulse expectation of ``expected_pulses_both_ready``; there
+    is no swap, so ``swap_comm_time`` changes nothing.
 
     n = 1: the two links run independently on the common pulse lattice
     (the heralding flight L_0/c must be an integer number of slots), so
     the total is E[max(T_1, T_2)]/p_swap, with E[max] from the links'
     characteristic function by adaptive quadrature (``_expected_max_slots``),
     exact to about 1e-14 relative, in a few ms and under 1 MB at 160 to 1280 km.
+    With ``swap_comm_time`` every swap attempt adds L_0/c:
+    (E[max(T_1, T_2)]/r + L_0/c)/p_swap.
 
     Raises SimulationGuardError if a stage probability is zero, the
     result is not a finite float or the quadrature passes its limits.
     """
     if params.n > 1:
         raise ValueError("exact_expected_time_small supports n <= 1 only")
-    if policy.swap_comm_time:
-        raise ValueError("exact_expected_time_small requires swap_comm_time off")
     p_l, p_0, p_sw = rates.stage_probabilities(params)
 
     slot = 1.0 / params.r
@@ -537,7 +556,8 @@ def exact_expected_time_small(params: ProtocolParams, policy: SimPolicy) -> floa
         if flight_slots < 1 or abs(flight_slots_real - flight_slots) > 1e-6:
             raise ValueError("n=1 oracle requires the heralding flight to be an integer number "
                              f"of pulse slots (L_0 r / c = {flight_slots_real!r})")
-        expected = _expected_max_slots(p_l, p_0, flight_slots) * slot / p_sw
+        comm = flight if policy.swap_comm_time else 0.0
+        expected = (_expected_max_slots(p_l, p_0, flight_slots) * slot + comm) / p_sw
     if not math.isfinite(expected):
         raise SimulationGuardError(f"the expected total time {expected} is not a finite float")
     return expected

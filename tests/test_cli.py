@@ -410,6 +410,26 @@ def test_verbose_writes_to_stderr(capsys):
     assert " s, modules " in manifest and "repeaterlab.rates" in manifest.split()
 
 
+def test_simulate_verbose_reports_per_trial_costs(capsys):
+    # The manifest adds the trial count, the time per trial and the link
+    # attempts and preparation draws per trial; stdout is unchanged.
+    _, plain, _ = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl")
+    code, out, err = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl", "--verbose")
+    assert code == 0
+    assert out == plain
+    rec = parse_jsonl(out)[0]
+    manifest = err.splitlines()[-1]
+    assert manifest.startswith(f"repeaterlab {repeaterlab.__version__} simulate: ")
+    fields = manifest.split(", ")
+    assert fields[1] == "400 trials"
+    us = fields[2].removesuffix(" us per trial")
+    assert float(us) > 0.0
+    links, draws = fields[3].split(" link attempts and ")
+    assert links == f"{rec['link_attempts'] / 400:.1f}"
+    assert draws == f"{rec['prep_attempts'] / 400:.1f} preparation draws per trial"
+    assert fields[4].startswith("modules ") and "repeaterlab.sim" in fields[4].split()
+
+
 # Extremes that validate() accepts, per parameter kind.
 _POSITIVE_EXTREMES = (5e-324, 1e-320, 1e-300, 1.0, 1e300, 1.7e308)
 _EFFICIENCY_EXTREMES = (0.0, 5e-324, 1e-300, 1e-7, 0.5, 1.0)

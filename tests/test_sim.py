@@ -32,6 +32,7 @@ ON = SimPolicy(swap_comm_time=True)
 # L_0 stays 80 km (the full 1280 km link would have p_0 ~ 1e-14).
 N0 = paper_defaults().with_overrides(L=80.0, n=0)
 N1 = paper_defaults().with_overrides(L=160.0, n=1)
+N4 = paper_defaults().with_overrides(L=1280.0, n=4)
 # The paper's preparation probability, about 6.64e-4.
 P_L = rates.stage_probabilities(paper_defaults())[0]
 
@@ -199,9 +200,9 @@ def test_n4_requests_draw_compound_sums(monkeypatch):
     # drawn from compound sums, not pulse by pulse.
     draws = []
 
-    def spy(rng, p_l, launches, total):
+    def spy(rng, p_l, launches, total, starts):
         draws.append(2 * int(launches.sum()))
-        return _level0_pulses(rng, p_l, launches, total)
+        return _level0_pulses(rng, p_l, launches, total, starts)
 
     monkeypatch.setattr(sim, "_level0_pulses", spy)
     estimate(paper_defaults(), OFF, 300, 606)
@@ -321,6 +322,34 @@ def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
     assert res.prep_attempts == prep
     assert res.link_attempts == link
     assert res.swap_attempts == swaps
+
+
+@pytest.mark.parametrize("policy, mean", [
+    (OFF, 22.90780391352041),
+    (ON, 23.093457177551016),
+], ids=["off", "swap-comm"])
+def test_estimate_compound_draws_pinned(policy, mean):
+    # Nearly every level-0 request at n = 4 over 1280 km is drawn from
+    # compound sums; the policy adds delays but draws nothing.
+    res = estimate(N4, policy, 200, 7)
+    assert res.mean == mean
+    assert res.prep_attempts == 102595743947
+    assert res.link_attempts == 34074466
+    assert res.swap_attempts == (147026, 24042, 3929, 630)
+
+
+@pytest.mark.parametrize("seed, stage_probs, total_time, prep, link", [
+    (1, None, 0.0566133418367347, 372148, 124),
+    (31, (0.3, 1e-6, 1.0), 546.5732866071429, 9110879, 1366023),
+], ids=["direct", "compound"])
+def test_single_link_trial_pinned(seed, stage_probs, total_time, prep, link):
+    # An n = 0 trial is one single-link request, drawn pulse by pulse at
+    # the paper's probabilities and from compound sums at about 1e6
+    # launches; its total time is pinned to the last bit.
+    res = simulate_trial(N0, OFF, seed, stage_probs=stage_probs)
+    assert res.total_time == total_time
+    assert res.counts.prep_attempts == prep
+    assert res.counts.link_attempts == link
 
 
 def test_estimate_percentiles_ordered():
@@ -478,8 +507,11 @@ def test_oracle_n0_closed_form_structure():
 def test_oracle_rejects_unsupported_configs():
     with pytest.raises(ValueError):
         exact_expected_time_small(paper_defaults().with_overrides(n=2), OFF)
-    with pytest.raises(ValueError):
-        exact_expected_time_small(N1, ON)
+    # swap_comm_time adds L_0/c per swap attempt; at n = 0 there is none.
+    p_sw = rates.stage_probabilities(N1)[2]
+    assert exact_expected_time_small(N1, ON) == pytest.approx(
+        exact_expected_time_small(N1, OFF) + N1.l0 / N1.c / p_sw, rel=1e-12)
+    assert exact_expected_time_small(N0, ON) == exact_expected_time_small(N0, OFF)
     # flight not aligned to the pulse grid
     with pytest.raises(ValueError):
         exact_expected_time_small(N1.with_overrides(r=39.2e6 * 1.0000001), OFF)
@@ -496,6 +528,12 @@ def test_oracle_n1_agrees_with_simulation():
     trials = 30_000
     res = estimate(N1, OFF, trials, 103)
     oracle = exact_expected_time_small(N1, OFF)
+    assert abs(res.mean - oracle) <= 3.0 * res.std_error
+
+
+def test_oracle_n1_swap_comm_agrees_with_simulation():
+    res = estimate(N1, ON, 20_000, 107)
+    oracle = exact_expected_time_small(N1, ON)
     assert abs(res.mean - oracle) <= 3.0 * res.std_error
 
 
