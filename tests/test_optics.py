@@ -384,6 +384,35 @@ def test_swap_pipeline_paper_defaults():
 
 PINNED_CORRECTION = "D2&D4:identity; D2&D3:z_flip; D1&D4:z_flip; D1&D3:identity"
 
+# The 13 recorded patterns of every pipeline at the paper defaults, in
+# report order: (counts, outcome, probability class).
+PINNED_ROWS = (
+    ((0, 0, 0, 0), BsmOutcome.REJECT, "none"),
+    ((0, 0, 0, 1), BsmOutcome.REJECT, "single"),
+    ((0, 0, 0, 2), BsmOutcome.REJECT, "double"),
+    ((0, 0, 1, 0), BsmOutcome.REJECT, "single"),
+    ((0, 0, 2, 0), BsmOutcome.REJECT, "double"),
+    ((0, 1, 0, 0), BsmOutcome.REJECT, "single"),
+    ((0, 1, 0, 1), BsmOutcome.ACCEPT_SAME, "pair"),
+    ((0, 1, 1, 0), BsmOutcome.ACCEPT_CROSS, "pair"),
+    ((0, 2, 0, 0), BsmOutcome.REJECT, "double"),
+    ((1, 0, 0, 0), BsmOutcome.REJECT, "single"),
+    ((1, 0, 0, 1), BsmOutcome.ACCEPT_CROSS, "pair"),
+    ((1, 0, 1, 0), BsmOutcome.ACCEPT_SAME, "pair"),
+    ((2, 0, 0, 0), BsmOutcome.REJECT, "double"),
+)
+
+
+# Probability of each class of row, per pipeline.
+PINNED_ROW_PROBS = {
+    "local_entanglement_pipeline": {"none": 0.9284286025000001, "single": 0.01756069875,
+                                    "double": 0.00016607531250000004, "pair": 0.00016607531249999993},
+    "link_pipeline": {"none": 0.7543275200977662, "single": 0.057096392422468584,
+                      "double": 0.002160863776544976, "pair": 0.002160863776544975},
+    "swap_pipeline": {"none": 0.0361, "single": 0.07694999999999996,
+                      "double": 0.08201250000000002, "pair": 0.08201249999999996},
+}
+
 
 @pytest.mark.parametrize("pipeline, accept_prob, branch_count", [
     (local_entanglement_pipeline, 0.0006643012499999996, 16),
@@ -391,13 +420,19 @@ PINNED_CORRECTION = "D2&D4:identity; D2&D3:z_flip; D1&D4:z_flip; D1&D3:identity"
     (swap_pipeline, 0.32805, 9),
 ])
 def test_pipeline_outputs_pinned(pipeline, accept_prob, branch_count):
-    # Values of version 0.3.0 at the paper defaults.
+    # Values of version 0.3.0 at the paper defaults; the per-pattern
+    # probabilities are those of version 0.4.9.
     report = pipeline(paper_defaults())
     assert report.accept_prob == pytest.approx(accept_prob, rel=1e-14)
     assert report.fidelity == pytest.approx(1.0, rel=1e-14)
     assert report.branch_count == branch_count
     assert report.correction == PINNED_CORRECTION
     assert len(report.patterns) == 13
+    row_probs = PINNED_ROW_PROBS[pipeline.__name__]
+    for pat, (counts, outcome, cls) in zip(report.patterns, PINNED_ROWS):
+        assert pat.pattern.counts == counts
+        assert pat.outcome is outcome
+        assert pat.probability == pytest.approx(row_probs[cls], rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(20))
