@@ -3,8 +3,8 @@
 States are sparse maps from occupation vectors to complex amplitudes over
 an ordered mode registry.  Mixed states are represented as weighted pure
 branches (every mixing source in the protocol -- storage vacuum terms,
-loss channels, dark counts -- is a probabilistic branch), which keeps the
-algebra exact and inner products cheap.
+loss channels, detector misses -- is a probabilistic branch), which keeps
+the algebra exact and overlaps cheap.
 
 A loss channel of transmissivity eta splits each branch in closed form:
 the component that lost k of a mode's n photons carries the binomial
@@ -20,10 +20,10 @@ detector need occupation 2.
 Occupation vectors are checked once, at the boundary: the public
 ``PureState(registry, amps)`` rejects a vector of the wrong length or
 with an occupation outside [0, D_MAX].  The engine's own results
-(``normalized``, ``create``, ``apply_linear_map``, ``tensor``,
-``apply_loss``, ``measure``) skip that check, since each either checks
-the cutoff itself (``create``, ``apply_linear_map``) or can only lower
-counts or drop modes; they only prune small amplitudes.
+(``normalized``, ``apply_linear_map``, ``tensor``, ``apply_loss``,
+``measure``) skip that check, since each either checks the cutoff itself
+(``apply_linear_map``) or can only lower counts or drop modes; they only
+prune small amplitudes.
 """
 
 from __future__ import annotations
@@ -186,32 +186,6 @@ class PureState:
     def amplitude(self, occ) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
 
-    def create(self, mode: ModeId) -> "PureState":
-        """Apply the bosonic creation operator a_mode^dagger (with its
-        sqrt(n+1) factor); the result is not normalized."""
-        i = self.registry.index(mode)
-        out: dict[tuple, complex] = {}
-        for occ, amp in self.amps.items():
-            n = occ[i]
-            if n + 1 > D_MAX:
-                raise CutoffExceededError(f"create on {mode} exceeds D_MAX={D_MAX}")
-            new = occ[:i] + (n + 1,) + occ[i + 1:]
-            out[new] = out.get(new, 0.0) + amp * math.sqrt(n + 1)
-        return PureState._unchecked(self.registry, out)
-
-    def inner(self, other: "PureState") -> complex:
-        """<self|other>."""
-        if self.registry != other.registry:
-            raise RegistryMismatchError("inner product across different registries")
-        if len(other.amps) < len(self.amps):
-            return other.inner(self).conjugate()
-        total = 0.0 + 0.0j
-        for occ, a in self.amps.items():
-            b = other.amps.get(occ)
-            if b is not None:
-                total += a.conjugate() * b
-        return total
-
     def apply_linear_map(self, modes, u) -> "PureState":
         """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given modes.
 
@@ -258,14 +232,6 @@ class PureState:
             for occ3, a3 in terms.items():
                 out[occ3] = out.get(occ3, 0.0) + a3
         return PureState._unchecked(self.registry, out)
-
-    def dump(self) -> str:
-        """Debug listing: one line per term, "occupations TAB re TAB im"."""
-        lines = []
-        for occ in sorted(self.amps):
-            a = self.amps[occ]
-            lines.append(f"{','.join(str(o) for o in occ)}\t{a.real!r}\t{a.imag!r}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amps.items()))
@@ -341,9 +307,6 @@ class WeightedEnsemble:
     @property
     def branch_count(self) -> int:
         return len(self.branches)
-
-    def weight_sum(self) -> float:
-        return sum(w for w, _ in self.branches)
 
     def tensor(self, other: "WeightedEnsemble") -> "WeightedEnsemble":
         """Tensor product over the concatenated registries."""
@@ -433,12 +396,6 @@ class WeightedEnsemble:
             MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(parts))
             for ks, parts in sorted(per_outcome.items())
         ]
-
-    def fidelity(self, target: PureState) -> float:
-        """sum_branches weight * |<target|branch>|^2."""
-        if target.registry != self.registry:
-            raise RegistryMismatchError("target registry differs from ensemble registry")
-        return sum(w * abs(target.inner(state)) ** 2 for w, state in self.branches)
 
     def __repr__(self) -> str:
         return f"WeightedEnsemble({self.branch_count} branches over {len(self.registry)} modes)"

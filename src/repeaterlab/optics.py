@@ -9,7 +9,10 @@ one memory qubit's d arm, which is computed here from the engine rather
 than assumed.  The analyzer's input modes are the H/V polarizations of
 paths a and b (``BSM_INPUT_MODES``), and ``BSM_UNITARY`` is its composed
 mode map onto the detectors D1..D4.  ``apply_bsm`` is that map followed
-by one efficiency-eta_d measurement of the four detector modes.
+by one efficiency-eta_d measurement of the four detector modes; a
+detection pattern is its tuple of counts at D1..D4.  Dark counts are
+not modelled here: the rates layer charges them in closed form
+(``rates.delta_f``).
 
 The three pipelines (local entanglement, elementary link, swap) compose
 the state constructors with loss channels and the analyzer, and report
@@ -29,6 +32,7 @@ import numpy as np
 from .core import ProtocolParams
 from .fock import (
     FockError,
+    MeasurementOutcome,
     ModeId,
     ModeRegistry,
     PureState,
@@ -57,31 +61,19 @@ _SAME_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _CROSS_PAIRS = (frozenset({"D1", "D4"}), frozenset({"D2", "D3"}))
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Number-resolved click counts at the four detectors."""
-
-    counts: tuple[int, int, int, int]
-
-    @property
-    def clicks(self) -> dict[str, int]:
-        return dict(zip(DETECTORS, self.counts))
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def name(self) -> str:
-        clicked = [f"{d}x{c}" if c > 1 else d for d, c in zip(DETECTORS, self.counts) if c > 0]
-        return "&".join(clicked) if clicked else "none"
+def pattern_name(counts: tuple[int, ...]) -> str:
+    """The clicked detectors joined by "&" ("D1&D4", "D3x2"), or "none"."""
+    clicked = [f"{d}x{c}" if c > 1 else d for d, c in zip(DETECTORS, counts) if c > 0]
+    return "&".join(clicked) if clicked else "none"
 
 
-def classify(pattern: DetectionPattern) -> BsmOutcome:
+def classify(counts: tuple[int, ...]) -> BsmOutcome:
     """Exactly one click at each of two paired detectors accepts;
     everything else (wrong total, double clicks, unpaired detectors)
     rejects."""
-    if pattern.total() != 2:
+    if sum(counts) != 2:
         return BsmOutcome.REJECT
-    clicked = frozenset(d for d, c in zip(DETECTORS, pattern.counts) if c > 0)
+    clicked = frozenset(d for d, c in zip(DETECTORS, counts) if c > 0)
     if len(clicked) != 2:
         return BsmOutcome.REJECT
     if clicked in _SAME_PAIRS:
@@ -113,51 +105,18 @@ BSM_UNITARY = SQRT_HALF * np.array([
 BSM_UNITARY.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class BsmResult:
-    """One recorded detection pattern with its probability and the
-    conditional memory state (photonic modes already measured out)."""
-
-    pattern: DetectionPattern
-    probability: float
-    memory: WeightedEnsemble
-
-
-def apply_bsm(photons: WeightedEnsemble, eta_d: float, p_d: float = 0.0) -> list[BsmResult]:
+def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcome]:
     """Run the Bell analyzer: the mode map, then one number-resolved
-    measurement of the four detectors at efficiency ``eta_d``, then
-    optional dark counts.
+    measurement of the four detectors at efficiency ``eta_d``.
 
-    With probability ``p_d`` each detector independently adds one phantom
-    click to its recorded count; the conditional memory of a recorded
-    pattern is then the probability-weighted mixture over the compatible
-    real patterns.  Pattern probabilities sum to 1.
+    Each outcome's counts are the clicks at D1..D4 and its state the
+    conditional memory (photonic modes measured out); the outcome
+    probabilities sum to 1.
     """
     mapped = WeightedEnsemble(
         [(w, s.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)) for w, s in photons.branches]
     )
-    measured = mapped.measure(BSM_INPUT_MODES, eta_d)
-    if p_d == 0.0:
-        return [BsmResult(DetectionPattern(mo.outcome), mo.probability, mo.state) for mo in measured]
-
-    # Convolve with independent phantom clicks.
-    recorded: dict[tuple[int, ...], list] = {}
-    totals: dict[tuple[int, ...], float] = {}
-    for mo in measured:
-        for phantom in np.ndindex(2, 2, 2, 2):
-            weight = mo.probability * math.prod(p_d if f else (1.0 - p_d) for f in phantom)
-            if weight <= 0.0:
-                continue
-            rec = tuple(c + f for c, f in zip(mo.outcome, phantom))
-            totals[rec] = totals.get(rec, 0.0) + weight
-            recorded.setdefault(rec, []).extend((weight * w, s) for w, s in mo.state.branches)
-    # Weights conditional on the recorded pattern keep its memory nonempty
-    # however rare the pattern is.
-    return [
-        BsmResult(DetectionPattern(rec), totals[rec],
-                  WeightedEnsemble([(w / totals[rec], s) for w, s in recorded[rec]]))
-        for rec in sorted(recorded)
-    ]
+    return mapped.measure(BSM_INPUT_MODES, eta_d)
 
 
 # ---------------------------------------------------------------------------
@@ -273,36 +232,25 @@ def pme_state(registry: ModeRegistry, site_a: str, site_b: str) -> PureState:
 # Outcome-conditioned correction and fidelity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Correction:
-    """Local correction that maximized the fidelity: a phase on one
-    qubit's d arm, classified as identity / z_flip when it is 0 / pi."""
-
-    kind: str
-    phase: float
-
-    def describe(self) -> str:
-        if self.kind == "phase":
-            return f"phase({self.phase:.6f})"
-        return self.kind
-
-
-def _classify_phase(alpha: float) -> Correction:
+def _classify_phase(alpha: float) -> str:
+    """Label of the correction phase ``alpha`` on one qubit's d arm:
+    "identity" or "z_flip" when it is 0 or pi, else "phase(x.xxxxxx)"."""
     rot = cmath.exp(1j * alpha)
     if abs(rot - 1.0) < 1e-6:
-        return Correction("identity", 0.0)
+        return "identity"
     if abs(rot + 1.0) < 1e-6:
-        return Correction("z_flip", math.pi)
-    return Correction("phase", alpha % (2.0 * math.pi))
+        return "z_flip"
+    return f"phase({alpha % (2.0 * math.pi):.6f})"
 
 
 def corrected_fidelity(
     memory: WeightedEnsemble,
     outcome: BsmOutcome,
     target: PureState,
-) -> tuple[float, Correction]:
+) -> tuple[float, str]:
     """Fidelity to ``target`` maximized over a free phase on one qubit's
-    d arm (which subsumes the discrete identity / Z-flip correction set).
+    d arm (which subsumes the discrete identity / Z-flip correction set),
+    and the label of the maximizing phase (``_classify_phase``).
 
     The phase acts on the registry's first d-arm ensemble mode.  For a
     phase alpha there, F(alpha) = sum_b w_b |c0_b +
@@ -337,7 +285,7 @@ def corrected_fidelity(
         z += w * c1 * c0.conjugate()
 
     if abs(z) < 1e-300:
-        return base, Correction("identity", 0.0)
+        return base, "identity"
     alpha = -cmath.phase(z)
     return base + 2.0 * abs(z), _classify_phase(alpha)
 
@@ -350,11 +298,11 @@ def corrected_fidelity(
 class PatternReport:
     """Per-pattern record inside a pipeline report."""
 
-    pattern: DetectionPattern
+    counts: tuple[int, ...]
     probability: float
     outcome: BsmOutcome
     fidelity: float | None
-    correction: Correction | None
+    correction: str | None
 
 
 @dataclass(frozen=True)
@@ -373,14 +321,6 @@ class PipelineReport:
     branch_count: int
     patterns: tuple[PatternReport, ...]
 
-    def to_record(self) -> dict:
-        return {
-            "accept_prob": self.accept_prob,
-            "fidelity": self.fidelity,
-            "correction": self.correction,
-            "branch_count": self.branch_count,
-        }
-
 
 def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_b: str) -> PipelineReport:
     """Bell analyzer on ``photons`` (no dark counts: they are handled
@@ -388,21 +328,21 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
     scored against the maximally entangled state of ``site_a`` and
     ``site_b``."""
     results = apply_bsm(photons, eta_d)
-    target = pme_state(results[0].memory.registry, site_a, site_b)
+    target = pme_state(results[0].state.registry, site_a, site_b)
     accept_prob = 0.0
     fidelities = []
     corrections = []
     reports = []
     for res in results:
-        outcome = classify(res.pattern)
+        outcome = classify(res.outcome)
         if outcome is BsmOutcome.REJECT:
-            reports.append(PatternReport(res.pattern, res.probability, outcome, None, None))
+            reports.append(PatternReport(res.outcome, res.probability, outcome, None, None))
             continue
-        fid, corr = corrected_fidelity(res.memory, outcome, target)
+        fid, corr = corrected_fidelity(res.state, outcome, target)
         accept_prob += res.probability
         fidelities.append(fid)
-        corrections.append(f"{res.pattern.name()}:{corr.describe()}")
-        reports.append(PatternReport(res.pattern, res.probability, outcome, fid, corr))
+        corrections.append(f"{pattern_name(res.outcome)}:{corr}")
+        reports.append(PatternReport(res.outcome, res.probability, outcome, fid, corr))
     return PipelineReport(
         accept_prob=accept_prob,
         fidelity=min(fidelities) if fidelities else 0.0,
@@ -479,7 +419,7 @@ def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
         ens = retrieve_t_to_s(ens, params.eta_e1, {"L": "a", "R": "b"})
         results = apply_bsm(ens, params.eta_d)
         out[name] = sum(
-            res.probability for res in results if classify(res.pattern) is not BsmOutcome.REJECT
+            res.probability for res in results if classify(res.outcome) is not BsmOutcome.REJECT
         )
     return out
 

@@ -372,6 +372,9 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     derive_trial_seed(seed, i))``: ``_trial_states`` yields the generator
     states ``_SEED_CHUNK`` trials at a time, each is loaded into one
     reused Generator, and the sampler keeps the run's attempt totals.
+    Raises SimulationGuardError if the mean or the standard error of the
+    trial times is not a finite float (trial times near the float range
+    overflow their sum or their sum of squares).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -388,10 +391,15 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
             rng.bit_generator.state = state
             totals[i] = sample(rng)
     p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
-    std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(totals))
+        std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    for name, value in (("mean", mean), ("standard error", std_error)):
+        if not math.isfinite(value):
+            raise SimulationGuardError(f"the {name} of {trials} trial times is {value}, not a finite float")
     return EstimateResult(
         trials=trials,
-        mean=float(np.mean(totals)),
+        mean=mean,
         std_error=std_error,
         p50=float(p50),
         p90=float(p90),
@@ -407,8 +415,6 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
 class ComparisonResult:
     """Monte Carlo mean against the analytic total time."""
 
-    mc_mean: float
-    std_error: float
     analytic: float
     ratio: float
     estimate: EstimateResult
@@ -423,8 +429,6 @@ def compare_analytic(params: ProtocolParams, policy: SimPolicy, trials: int, see
     est = estimate(params, policy, trials, seed)
     analytic = rates.t_total(params).t_total
     return ComparisonResult(
-        mc_mean=est.mean,
-        std_error=est.std_error,
         analytic=analytic,
         ratio=est.mean / analytic,
         estimate=est,

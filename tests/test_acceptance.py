@@ -101,7 +101,7 @@ def test_criterion_3_bsm_correctness():
         })
         results = optics.apply_bsm(optics.WeightedEnsemble.from_pure(state), 1.0)
         psi_accept += sum(
-            r.probability for r in results if optics.classify(r.pattern) is not BsmOutcome.REJECT
+            r.probability for r in results if optics.classify(r.outcome) is not BsmOutcome.REJECT
         )
 
     ideal_dev = max(
@@ -174,13 +174,13 @@ def test_criterion_7_total_time_formula_audit():
     start = time.monotonic()
     trials = 10_000
     cmp = sim.compare_analytic(paper_defaults(), OFF, trials, 4242)
-    sigma_rel = cmp.std_error / cmp.analytic
+    sigma_rel = cmp.estimate.std_error / cmp.analytic
     elapsed = time.monotonic() - start
     ok = (1.0 - 3.0 * sigma_rel) <= cmp.ratio <= 8.0 and elapsed < 300.0
     # The analytic product formula is an approximation; the measured gap
     # is the recorded finding, not a reproduction target.
     _report(7, "analytic total-time approximation audit (n=4, 1e4 trials)", ok, elapsed,
-            f"mc={cmp.mc_mean:.3f}s analytic={cmp.analytic:.3f}s ratio={cmp.ratio:.3f}"
+            f"mc={cmp.estimate.mean:.3f}s analytic={cmp.analytic:.3f}s ratio={cmp.ratio:.3f}"
             f"+-{3 * sigma_rel:.3f}")
 
 

@@ -144,6 +144,18 @@ def test_simulate_guard_exits_3(capsys):
         assert "Traceback" not in err
 
 
+def test_simulate_non_finite_mean_exits_3(capsys):
+    # validate() accepts r = 1e-300 Hz, but the trial times overflow the
+    # mean (1000 trials) or the standard error (3 trials).
+    for trials, quantity in (("1000", "mean"), ("3", "standard error")):
+        code, out, err = run_cli(capsys, "simulate", "--r-hz", "1e-300", "--n", "0", "--l-km", "80",
+                                 "--trials", trials)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"aborted: the {quantity} of {trials} trial times")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 def test_simulate_tiny_prep_probability_counts(capsys):
     # p_l ~ 8e-12 (2/p_l ~ 2^38 draws per launch) still runs, and the
     # attempt totals do not wrap: about 2/p_l prep attempts per launch.

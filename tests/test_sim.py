@@ -380,6 +380,17 @@ def test_estimate_rejects_no_trials():
         estimate(N0, OFF, 0, 1)
 
 
+def test_estimate_non_finite_aggregate_guard():
+    # At r = 1e-300 Hz each trial takes about 1e305 s: 1000 of them
+    # overflow the sum, 3 of them only the sum of squares.  No numpy
+    # warning escapes (the suite turns warnings into errors).
+    slow = N0.with_overrides(r=1e-300)
+    with pytest.raises(SimulationGuardError, match="the mean of 1000 trial times is inf"):
+        estimate(slow, OFF, 1000, 0)
+    with pytest.raises(SimulationGuardError, match="the standard error of 3 trial times is inf"):
+        estimate(slow, OFF, 3, 0)
+
+
 def test_link_attempts_match_inverse_probability():
     trials = 30_000
     res = estimate(N0, OFF, trials, 17)
@@ -564,7 +575,7 @@ def test_oracle_n1_exceeds_n_times_single_link():
 def test_compare_analytic_ratio_n0():
     cmp = compare_analytic(N0, OFF, 20_000, 301)
     assert cmp.analytic == rates.t_total(N0).t_total
-    assert cmp.ratio == cmp.mc_mean / cmp.analytic
+    assert cmp.ratio == cmp.estimate.mean / cmp.analytic
     assert cmp.ratio >= 0.99
 
 
