@@ -373,8 +373,7 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     states ``_SEED_CHUNK`` trials at a time, each is loaded into one
     reused Generator, and the sampler keeps the run's attempt totals.
     Raises SimulationGuardError if the mean or the standard error of the
-    trial times is not a finite float (trial times near the float range
-    overflow their sum or their sum of squares).
+    trial times is not a finite float.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -386,12 +385,14 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
                                    "more than can be allocated") from exc
     # The state is replaced before every trial.
     rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, trials, _SEED_CHUNK):
-        for i, state in enumerate(_trial_states(seed, start, min(start + _SEED_CHUNK, trials)), start):
-            rng.bit_generator.state = state
-            totals[i] = sample(rng)
-    p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
+    # Trial times near the float range overflow in the sampler, their sum
+    # or their sum of squares; the check below refuses such a run.
     with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, trials, _SEED_CHUNK):
+            for i, state in enumerate(_trial_states(seed, start, min(start + _SEED_CHUNK, trials)), start):
+                rng.bit_generator.state = state
+                totals[i] = sample(rng)
+        p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
         mean = float(np.mean(totals))
         std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     for name, value in (("mean", mean), ("standard error", std_error)):

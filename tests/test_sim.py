@@ -382,13 +382,16 @@ def test_estimate_rejects_no_trials():
 
 def test_estimate_non_finite_aggregate_guard():
     # At r = 1e-300 Hz each trial takes about 1e305 s: 1000 of them
-    # overflow the sum, 3 of them only the sum of squares.  No numpy
-    # warning escapes (the suite turns warnings into errors).
+    # overflow the sum, 3 of them only the sum of squares; at 1e-306 Hz
+    # the n = 1 trial times themselves overflow.  No numpy warning
+    # escapes (the suite turns warnings into errors).
     slow = N0.with_overrides(r=1e-300)
     with pytest.raises(SimulationGuardError, match="the mean of 1000 trial times is inf"):
         estimate(slow, OFF, 1000, 0)
     with pytest.raises(SimulationGuardError, match="the standard error of 3 trial times is inf"):
         estimate(slow, OFF, 3, 0)
+    with pytest.raises(SimulationGuardError, match="the mean of 20 trial times is inf"):
+        estimate(N1.with_overrides(r=1e-306), OFF, 20, 0)
 
 
 def test_link_attempts_match_inverse_probability():
