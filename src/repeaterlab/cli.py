@@ -31,7 +31,7 @@ import sys
 import time
 
 from . import __version__, rates
-from .core import _CONFIG_KEYS, ConfigError, ProtocolParams, load_config, paper_defaults, validate
+from .core import _CONFIG_KEYS, _PROBABILITY_FIELDS, ConfigError, ProtocolParams, load_config, paper_defaults, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -235,7 +235,7 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
     value = float(np.max(np.abs(unit.conj().T @ unit - np.eye(4))))
     checks.append(("bsm_unitarity", value, tol(1e-10)))
 
-    ideal = params.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0)
+    ideal = params.with_overrides(**dict.fromkeys(_PROBABILITY_FIELDS, 1.0))
     grid = [2.0 * math.pi * i / phases for i in range(phases)]
     probs = []
     min_fid = 1.0
@@ -261,13 +261,7 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
     rng = np.random.default_rng(819230475)
     worst = 0.0
     for _ in range(5):
-        point = params.with_overrides(
-            eta_p=rng.uniform(0.3, 1.0),
-            eta_s=rng.uniform(0.3, 1.0),
-            eta_e1=rng.uniform(0.3, 1.0),
-            eta_e2=rng.uniform(0.3, 1.0),
-            eta_d=rng.uniform(0.3, 1.0),
-        )
+        point = params.with_overrides(**{name: rng.uniform(0.3, 1.0) for name in _PROBABILITY_FIELDS})
         trio = (
             (optics.local_entanglement_pipeline(point).accept_prob, rates.p_local(point)),
             (optics.link_pipeline(point).accept_prob, rates.p_link(point)),

@@ -20,10 +20,13 @@ detector need occupation 2.
 Occupation vectors are checked once, at the boundary: the public
 ``PureState(registry, amps)`` rejects a vector of the wrong length or
 with an occupation outside [0, D_MAX].  The engine's own results
-(``normalized``, ``apply_linear_map``, ``tensor``, ``apply_loss``,
-``measure``) skip that check, since each either checks the cutoff itself
+(``PureState.normalized`` and the ``WeightedEnsemble`` operations
+``apply_linear_map``, ``tensor``, ``apply_loss`` and ``measure``) skip
+that check, since each either checks the cutoff itself
 (``apply_linear_map``) or can only lower counts or drop modes; they only
-prune small amplitudes.
+prune small amplitudes.  Every branch of an ensemble shares one
+registry, so an ensemble operation checks its arguments once per call,
+not once per branch.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +59,7 @@ class RegistryMismatchError(FockError):
     """Operands live on different registries, or a mode is missing."""
 
 
-@dataclass(frozen=True, order=True)
-class ModeId:
+class ModeId(NamedTuple):
     """Label of one bosonic or collective mode.
 
     Two families are used: collective ensemble modes (site, arm u/d,
@@ -186,53 +189,6 @@ class PureState:
     def amplitude(self, occ) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
 
-    def apply_linear_map(self, modes, u) -> "PureState":
-        """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given modes.
-
-        ``u`` must be unitary within ``UNITARY_TOL``; only photonic modes
-        may be mixed.  Norm and total photon number in the mapped modes
-        are preserved.
-        """
-        modes = list(modes)
-        u = np.asarray(u, dtype=complex)
-        k = len(modes)
-        if u.shape != (k, k):
-            raise FockError(f"matrix shape {u.shape} does not match {k} modes")
-        if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
-            raise FockError("matrix is not unitary within tolerance")
-        for m in modes:
-            if m.kind == "ensemble":
-                raise FockError("linear maps act on photonic modes only")
-        idxs = [self.registry.index(m) for m in modes]
-        if len(set(idxs)) != k:
-            raise FockError("mapped modes must be distinct")
-        # Per input mode (column of u): the (registry index, coefficient)
-        # pairs of the output modes it feeds, as Python complex numbers.
-        columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in u.T.tolist()]
-
-        out: dict[tuple, complex] = {}
-        for occ, amp in self.amps.items():
-            ns = [occ[i] for i in idxs]
-            base = list(occ)
-            for i in idxs:
-                base[i] = 0
-            seed = amp / math.sqrt(math.prod(math.factorial(n) for n in ns))
-            terms: dict[tuple, complex] = {tuple(base): seed}
-            for col, n_col in enumerate(ns):
-                for _ in range(n_col):
-                    nxt: dict[tuple, complex] = {}
-                    for occ2, a2 in terms.items():
-                        for j, coeff in columns[col]:
-                            m_occ = occ2[j]
-                            if m_occ + 1 > D_MAX:
-                                raise CutoffExceededError("linear map pushed occupation past D_MAX")
-                            new = occ2[:j] + (m_occ + 1,) + occ2[j + 1:]
-                            nxt[new] = nxt.get(new, 0.0) + a2 * coeff * math.sqrt(m_occ + 1)
-                    terms = nxt
-            for occ3, a3 in terms.items():
-                out[occ3] = out.get(occ3, 0.0) + a3
-        return PureState._unchecked(self.registry, out)
-
     def __repr__(self) -> str:
         terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amps.items()))
         return f"PureState({terms})"
@@ -257,6 +213,17 @@ def _picker(idxs: list[int]):
     if len(idxs) == 1:
         return lambda occ, i=idxs[0]: (occ[i],)
     return itemgetter(*idxs) if idxs else lambda occ: ()
+
+
+def _split(w: float, registry: ModeRegistry, comps: dict):
+    """Yield each component of a weight-``w`` branch, given as ``{key:
+    amps}``, as ``(key, (weight, normalized state))``; components of
+    weight ``w |amps|^2`` at most ``WEIGHT_PRUNE`` are dropped."""
+    for key, amps in comps.items():
+        sub = PureState._unchecked(registry, amps)
+        nrm = sub.norm()
+        if (p := w * nrm ** 2) > WEIGHT_PRUNE:
+            yield key, (p, sub._divided(nrm))
 
 
 @dataclass(frozen=True)
@@ -308,6 +275,57 @@ class WeightedEnsemble:
     def branch_count(self) -> int:
         return len(self.branches)
 
+    def apply_linear_map(self, modes, u) -> "WeightedEnsemble":
+        """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given
+        modes of every branch.
+
+        ``u`` must be unitary within ``UNITARY_TOL``; only photonic modes
+        may be mixed.  Each branch keeps its weight, its norm and its
+        total photon number in the mapped modes.
+        """
+        modes = list(modes)
+        u = np.asarray(u, dtype=complex)
+        k = len(modes)
+        if u.shape != (k, k):
+            raise FockError(f"matrix shape {u.shape} does not match {k} modes")
+        if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
+            raise FockError("matrix is not unitary within tolerance")
+        for m in modes:
+            if m.kind == "ensemble":
+                raise FockError("linear maps act on photonic modes only")
+        idxs = [self.registry.index(m) for m in modes]
+        if len(set(idxs)) != k:
+            raise FockError("mapped modes must be distinct")
+        # Per input mode (column of u): the (registry index, coefficient)
+        # pairs of the output modes it feeds, as Python complex numbers.
+        columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in u.T.tolist()]
+
+        mapped = []
+        for w, state in self.branches:
+            out: dict[tuple, complex] = {}
+            for occ, amp in state.amps.items():
+                ns = [occ[i] for i in idxs]
+                base = list(occ)
+                for i in idxs:
+                    base[i] = 0
+                seed = amp / math.sqrt(math.prod(math.factorial(n) for n in ns))
+                terms: dict[tuple, complex] = {tuple(base): seed}
+                for col, n_col in enumerate(ns):
+                    for _ in range(n_col):
+                        nxt: dict[tuple, complex] = {}
+                        for occ2, a2 in terms.items():
+                            for j, coeff in columns[col]:
+                                m_occ = occ2[j]
+                                if m_occ + 1 > D_MAX:
+                                    raise CutoffExceededError("linear map pushed occupation past D_MAX")
+                                new = occ2[:j] + (m_occ + 1,) + occ2[j + 1:]
+                                nxt[new] = nxt.get(new, 0.0) + a2 * coeff * math.sqrt(m_occ + 1)
+                        terms = nxt
+                for occ3, a3 in terms.items():
+                    out[occ3] = out.get(occ3, 0.0) + a3
+            mapped.append((w, PureState._unchecked(self.registry, out)))
+        return WeightedEnsemble(mapped)
+
     def tensor(self, other: "WeightedEnsemble") -> "WeightedEnsemble":
         """Tensor product over the concatenated registries."""
         registry = ModeRegistry(self.registry.modes + other.registry.modes)
@@ -342,12 +360,7 @@ class WeightedEnsemble:
                     new = occ[:i] + (kept,) + occ[i + 1:]
                     comp = lost.setdefault(n - kept, {})
                     comp[new] = comp.get(new, 0.0) + amp * coeff
-            for comp in lost.values():
-                sub = PureState._unchecked(self.registry, comp)
-                nrm = sub.norm()
-                p = nrm ** 2
-                if p > WEIGHT_PRUNE:
-                    out.append((w * p, sub._divided(nrm)))
+            out.extend(branch for _, branch in _split(w, self.registry, lost))
         return WeightedEnsemble(out)
 
     def measure(self, modes, eta: float) -> list[MeasurementOutcome]:
@@ -386,12 +399,8 @@ class WeightedEnsemble:
                 rest = kept_modes(occ)
                 for key, coeff in terms:
                     comps.setdefault(key, {})[rest] = amp * coeff
-            for (ks, _), amps in comps.items():
-                sub = PureState._unchecked(reduced, amps)
-                nrm = sub.norm()
-                p = w * nrm ** 2
-                if p > WEIGHT_PRUNE:
-                    per_outcome.setdefault(ks, []).append((p, sub._divided(nrm)))
+            for (ks, _), branch in _split(w, reduced, comps):
+                per_outcome.setdefault(ks, []).append(branch)
         return [
             MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(parts))
             for ks, parts in sorted(per_outcome.items())

@@ -61,12 +61,6 @@ _SAME_PAIRS = (frozenset({"D1", "D3"}), frozenset({"D2", "D4"}))
 _CROSS_PAIRS = (frozenset({"D1", "D4"}), frozenset({"D2", "D3"}))
 
 
-def pattern_name(counts: tuple[int, ...]) -> str:
-    """The clicked detectors joined by "&" ("D1&D4", "D3x2"), or "none"."""
-    clicked = [f"{d}x{c}" if c > 1 else d for d, c in zip(DETECTORS, counts) if c > 0]
-    return "&".join(clicked) if clicked else "none"
-
-
 def classify(counts: tuple[int, ...]) -> BsmOutcome:
     """Exactly one click at each of two paired detectors accepts;
     everything else (wrong total, double clicks, unpaired detectors)
@@ -113,10 +107,7 @@ def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcom
     conditional memory (photonic modes measured out); the outcome
     probabilities sum to 1.
     """
-    mapped = WeightedEnsemble(
-        [(w, s.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)) for w, s in photons.branches]
-    )
-    return mapped.measure(BSM_INPUT_MODES, eta_d)
+    return photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +301,12 @@ class PipelineReport:
     """Aggregate of one heralded stage.
 
     ``fidelity`` is the minimum corrected fidelity over accepting
-    patterns, ``correction`` a compact summary of the per-pattern
-    corrections, ``branch_count`` the branch count of the photonic
-    ensemble entering the detectors.
+    patterns, ``branch_count`` the branch count of the photonic ensemble
+    entering the detectors.
     """
 
     accept_prob: float
     fidelity: float
-    correction: str
     branch_count: int
     patterns: tuple[PatternReport, ...]
 
@@ -331,7 +320,6 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
     target = pme_state(results[0].state.registry, site_a, site_b)
     accept_prob = 0.0
     fidelities = []
-    corrections = []
     reports = []
     for res in results:
         outcome = classify(res.outcome)
@@ -341,12 +329,10 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
         fid, corr = corrected_fidelity(res.state, outcome, target)
         accept_prob += res.probability
         fidelities.append(fid)
-        corrections.append(f"{pattern_name(res.outcome)}:{corr}")
         reports.append(PatternReport(res.outcome, res.probability, outcome, fid, corr))
     return PipelineReport(
         accept_prob=accept_prob,
         fidelity=min(fidelities) if fidelities else 0.0,
-        correction="; ".join(corrections) if corrections else "none",
         branch_count=photons.branch_count,
         patterns=tuple(reports),
     )

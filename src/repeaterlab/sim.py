@@ -319,10 +319,15 @@ def simulate_trial(
     pulse, one flight per link, free swaps) is reachable only this way.
     Raises SimulationGuardError if a stage probability is zero, one
     elementary link expects more than ``_MAX_LINK_DRAWS`` preparation
-    draws or a trial more than ``_MAX_TRIAL_LINKS`` elementary links.
+    draws, a trial more than ``_MAX_TRIAL_LINKS`` elementary links, or
+    the trial time is not a finite float.
     """
     sampler = _TrialSampler(params, policy, stage_probs)
-    total_time = sampler(np.random.Generator(np.random.PCG64(seed)))
+    # As in ``estimate``: an overflowing trial time is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_time = sampler(np.random.Generator(np.random.PCG64(seed)))
+    if not math.isfinite(total_time):
+        raise SimulationGuardError(f"the trial time is {total_time}, not a finite float")
     counts = StageCounts(sampler.prep_attempts, sampler.link_attempts, tuple(sampler.swap_attempts))
     return TrialResult(total_time=total_time, counts=counts)
 

@@ -64,10 +64,17 @@ def test_vacuum_needs_modes():
 BS5050 = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQ2
 
 
+def map_pure(state, modes, u):
+    """The mapped state of a one-branch ensemble holding ``state``."""
+    ((weight, out),) = WeightedEnsemble.from_pure(state).apply_linear_map(modes, u).branches
+    assert weight == 1.0
+    return out
+
+
 def test_balanced_splitter_on_single_photon():
     reg = two_modes()
     state = PureState(reg, {(1, 0): 1.0})
-    out = state.apply_linear_map(reg.modes, BS5050)
+    out = map_pure(state, reg.modes, BS5050)
     assert out.amplitude((1, 0)) == pytest.approx(1 / SQ2)
     assert out.amplitude((0, 1)) == pytest.approx(1 / SQ2)
 
@@ -77,7 +84,7 @@ def test_hong_ou_mandel_cancellation():
     # giving (|20> - |02>)/sqrt2 and zero coincidence amplitude.
     reg = two_modes()
     state = PureState(reg, {(1, 1): 1.0})
-    out = state.apply_linear_map(reg.modes, BS5050)
+    out = map_pure(state, reg.modes, BS5050)
     assert out.amplitude((2, 0)) == pytest.approx(1 / SQ2)
     assert out.amplitude((0, 2)) == pytest.approx(-1 / SQ2)
     assert abs(out.amplitude((1, 1))) < 1e-14
@@ -88,22 +95,42 @@ def test_identity_map_is_identity():
     rng = np.random.default_rng(3)
     reg = two_modes()
     state = random_state(reg, rng)
-    out = state.apply_linear_map(reg.modes, np.eye(2))
+    out = map_pure(state, reg.modes, np.eye(2))
     assert out.amps == pytest.approx(state.amps)
 
 
 def test_non_unitary_rejected():
     reg = two_modes()
-    state = PureState.vacuum(reg)
+    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
     with pytest.raises(FockError, match="unitary"):
-        state.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
+        ens.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_ensemble_modes_not_mixable():
     reg = ModeRegistry((ModeId.ensemble("L", "u", "T"), ModeId.photon("a")))
-    state = PureState.vacuum(reg)
+    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
     with pytest.raises(FockError, match="photonic"):
-        state.apply_linear_map(reg.modes, np.eye(2))
+        ens.apply_linear_map(reg.modes, np.eye(2))
+
+
+def test_linear_map_acts_on_each_branch():
+    rng = np.random.default_rng(11)
+    reg = two_modes()
+    # At most one photon per mode keeps every output within the cutoff.
+    first, second = (
+        PureState(reg, {occ: complex(rng.normal(), rng.normal()) for occ in ((1, 0), (0, 1), (1, 1))}).normalized()
+        for _ in range(2)
+    )
+    mixed = WeightedEnsemble([(0.25, first), (0.75, second)])
+    u = unitary_group.rvs(2, random_state=11)
+    mapped = mixed.apply_linear_map(reg.modes, u)
+    assert len(mapped.branches) == 2
+    for (w_in, s_in), (w_out, s_out) in zip(mixed.branches, mapped.branches):
+        ((w_alone, s_alone),) = WeightedEnsemble([(1.0, s_in)]).apply_linear_map(reg.modes, u).branches
+        assert w_out == w_in and w_alone == 1.0
+        assert s_out.amps == s_alone.amps
+    with pytest.raises(FockError, match="unitary"):
+        mixed.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -116,7 +143,7 @@ def test_linear_map_preserves_norm_and_photon_number(seed):
     for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
         amps[occ] = complex(rng.normal(), rng.normal())
     state = PureState(reg, amps).normalized()
-    out = state.apply_linear_map(reg.modes, u)
+    out = map_pure(state, reg.modes, u)
     assert out.norm() == pytest.approx(1.0, abs=1e-10)
     total_in = sum(sum(occ) * abs(a) ** 2 for occ, a in state.amps.items())
     total_out = sum(sum(occ) * abs(a) ** 2 for occ, a in out.amps.items())

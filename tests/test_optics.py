@@ -19,7 +19,6 @@ from repeaterlab.optics import (
     link_pipeline,
     local_entanglement_pipeline,
     memory_registry,
-    pattern_name,
     pme_state,
     retrieve_s_to_photon,
     retrieve_t_to_s,
@@ -249,12 +248,6 @@ def test_classify(counts, expected):
     assert classify(counts) is expected
 
 
-def test_pattern_clicks_mapping():
-    assert pattern_name((1, 0, 0, 1)) == "D1&D4"
-    assert pattern_name((0, 0, 2, 0)) == "D3x2"
-    assert pattern_name((0, 0, 0, 0)) == "none"
-
-
 # ---------------------------------------------------------------------------
 # corrected fidelity
 # ---------------------------------------------------------------------------
@@ -354,24 +347,22 @@ def test_swap_pipeline_paper_defaults():
     assert report.fidelity == pytest.approx(1.0, abs=1e-9)
 
 
-PINNED_CORRECTION = "D2&D4:identity; D2&D3:z_flip; D1&D4:z_flip; D1&D3:identity"
-
 # The 13 recorded patterns of every pipeline at the paper defaults, in
-# report order: (counts, outcome, probability class).
+# report order: (counts, outcome, probability class, correction).
 PINNED_ROWS = (
-    ((0, 0, 0, 0), BsmOutcome.REJECT, "none"),
-    ((0, 0, 0, 1), BsmOutcome.REJECT, "single"),
-    ((0, 0, 0, 2), BsmOutcome.REJECT, "double"),
-    ((0, 0, 1, 0), BsmOutcome.REJECT, "single"),
-    ((0, 0, 2, 0), BsmOutcome.REJECT, "double"),
-    ((0, 1, 0, 0), BsmOutcome.REJECT, "single"),
-    ((0, 1, 0, 1), BsmOutcome.ACCEPT_SAME, "pair"),
-    ((0, 1, 1, 0), BsmOutcome.ACCEPT_CROSS, "pair"),
-    ((0, 2, 0, 0), BsmOutcome.REJECT, "double"),
-    ((1, 0, 0, 0), BsmOutcome.REJECT, "single"),
-    ((1, 0, 0, 1), BsmOutcome.ACCEPT_CROSS, "pair"),
-    ((1, 0, 1, 0), BsmOutcome.ACCEPT_SAME, "pair"),
-    ((2, 0, 0, 0), BsmOutcome.REJECT, "double"),
+    ((0, 0, 0, 0), BsmOutcome.REJECT, "none", None),
+    ((0, 0, 0, 1), BsmOutcome.REJECT, "single", None),
+    ((0, 0, 0, 2), BsmOutcome.REJECT, "double", None),
+    ((0, 0, 1, 0), BsmOutcome.REJECT, "single", None),
+    ((0, 0, 2, 0), BsmOutcome.REJECT, "double", None),
+    ((0, 1, 0, 0), BsmOutcome.REJECT, "single", None),
+    ((0, 1, 0, 1), BsmOutcome.ACCEPT_SAME, "pair", "identity"),
+    ((0, 1, 1, 0), BsmOutcome.ACCEPT_CROSS, "pair", "z_flip"),
+    ((0, 2, 0, 0), BsmOutcome.REJECT, "double", None),
+    ((1, 0, 0, 0), BsmOutcome.REJECT, "single", None),
+    ((1, 0, 0, 1), BsmOutcome.ACCEPT_CROSS, "pair", "z_flip"),
+    ((1, 0, 1, 0), BsmOutcome.ACCEPT_SAME, "pair", "identity"),
+    ((2, 0, 0, 0), BsmOutcome.REJECT, "double", None),
 )
 
 
@@ -398,12 +389,12 @@ def test_pipeline_outputs_pinned(pipeline, accept_prob, branch_count):
     assert report.accept_prob == pytest.approx(accept_prob, rel=1e-14)
     assert report.fidelity == pytest.approx(1.0, rel=1e-14)
     assert report.branch_count == branch_count
-    assert report.correction == PINNED_CORRECTION
     assert len(report.patterns) == 13
     row_probs = PINNED_ROW_PROBS[pipeline.__name__]
-    for pat, (counts, outcome, cls) in zip(report.patterns, PINNED_ROWS):
+    for pat, (counts, outcome, cls, correction) in zip(report.patterns, PINNED_ROWS):
         assert pat.counts == counts
         assert pat.outcome is outcome
+        assert pat.correction == correction
         assert pat.probability == pytest.approx(row_probs[cls], rel=1e-14)
 
 

@@ -394,6 +394,13 @@ def test_estimate_non_finite_aggregate_guard():
         estimate(N1.with_overrides(r=1e-306), OFF, 20, 0)
 
 
+def test_simulate_trial_non_finite_time_guard():
+    # At r = 1e-306 Hz the n = 1 trial time overflows inside the sampler;
+    # the trial is refused without a numpy warning.
+    with pytest.raises(SimulationGuardError, match="the trial time is inf, not a finite float"):
+        simulate_trial(N1.with_overrides(L=80.0, r=1e-306), OFF, 3)
+
+
 def test_link_attempts_match_inverse_probability():
     trials = 30_000
     res = estimate(N0, OFF, trials, 17)
