@@ -17,16 +17,16 @@ mode's occupation is capped at ``D_MAX`` = 2: the protocol post-selects
 at most two photons per detection stage, and double clicks at one
 detector need occupation 2.
 
-Occupation vectors are checked once, at the boundary: the public
-``PureState(registry, amps)`` rejects a vector of the wrong length or
-with an occupation outside [0, D_MAX].  The engine's own results
-(``PureState.normalized`` and the ``WeightedEnsemble`` operations
-``apply_linear_map``, ``tensor``, ``apply_loss`` and ``measure``) skip
-that check, since each either checks the cutoff itself
-(``apply_linear_map``) or can only lower counts or drop modes; they only
-prune small amplitudes.  Every branch of an ensemble shares one
-registry, so an ensemble operation checks its arguments once per call,
-not once per branch.
+An ensemble stores its one registry once and each branch as a weight
+and a plain ``{occupation vector: amplitude}`` map.  ``PureState`` is
+the boundary type: its constructor rejects an occupation vector of the
+wrong length or with an occupation outside [0, D_MAX], and a state
+enters the engine through ``WeightedEnsemble.from_pure``.  The ensemble
+operations (``apply_linear_map``, ``tensor``, ``apply_loss`` and
+``measure``) build their branches as plain maps without that check,
+since each either checks the cutoff itself (``apply_linear_map``) or
+can only lower counts or drop modes; they only prune small amplitudes.
+An operation checks its arguments once per call, not once per branch.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class ModeRegistry:
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeRegistry) and self.modes == other.modes
 
-    def __hash__(self):
-        return hash(self.modes)
-
     def __repr__(self) -> str:
         return "ModeRegistry(" + ", ".join(str(m) for m in self.modes) + ")"
 
@@ -154,16 +151,6 @@ class PureState:
         self.amps = clean
 
     @classmethod
-    def _unchecked(cls, registry: ModeRegistry, amps: dict) -> "PureState":
-        """Engine-internal constructor: prunes like ``__init__`` but
-        trusts the keys to be valid occupation vectors and the values to
-        be complex."""
-        state = object.__new__(cls)
-        state.registry = registry
-        state.amps = {occ: a for occ, a in amps.items() if abs(a) >= AMPLITUDE_PRUNE}
-        return state
-
-    @classmethod
     def vacuum(cls, registry: ModeRegistry) -> "PureState":
         """All-modes-empty state |0...0>."""
         if len(registry) == 0:
@@ -177,14 +164,7 @@ class PureState:
         nrm = self.norm()
         if nrm == 0.0:
             raise FockError("cannot normalize the zero state")
-        return self._divided(nrm)
-
-    def _divided(self, nrm: float) -> "PureState":
-        """This state over ``nrm``, pruned like ``__init__``."""
-        state = object.__new__(PureState)
-        state.registry = self.registry
-        state.amps = {o: b for o, a in self.amps.items() if abs(b := a / nrm) >= AMPLITUDE_PRUNE}
-        return state
+        return PureState(self.registry, {occ: a / nrm for occ, a in self.amps.items()})
 
     def amplitude(self, occ) -> complex:
         return self.amps.get(tuple(occ), 0.0 + 0.0j)
@@ -215,15 +195,20 @@ def _picker(idxs: list[int]):
     return itemgetter(*idxs) if idxs else lambda occ: ()
 
 
-def _split(w: float, registry: ModeRegistry, comps: dict):
+def _pruned(amps: dict) -> dict:
+    """``amps`` without the amplitudes below ``AMPLITUDE_PRUNE``."""
+    return {occ: a for occ, a in amps.items() if abs(a) >= AMPLITUDE_PRUNE}
+
+
+def _split(w: float, comps: dict):
     """Yield each component of a weight-``w`` branch, given as ``{key:
-    amps}``, as ``(key, (weight, normalized state))``; components of
+    amps}``, as ``(key, (weight, normalized amps))``; components of
     weight ``w |amps|^2`` at most ``WEIGHT_PRUNE`` are dropped."""
     for key, amps in comps.items():
-        sub = PureState._unchecked(registry, amps)
-        nrm = sub.norm()
+        amps = _pruned(amps)
+        nrm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         if (p := w * nrm ** 2) > WEIGHT_PRUNE:
-            yield key, (p, sub._divided(nrm))
+            yield key, (p, {occ: b for occ, a in amps.items() if abs(b := a / nrm) >= AMPLITUDE_PRUNE})
 
 
 @dataclass(frozen=True)
@@ -237,39 +222,36 @@ class MeasurementOutcome:
 
 
 class WeightedEnsemble:
-    """Mixed state as weighted pure branches sharing one registry.
+    """Mixed state as weighted pure branches over one registry.
 
-    Weights are renormalized to sum 1 on construction; branches lighter
-    than ``WEIGHT_PRUNE`` are dropped and exactly identical branches are
+    ``branches`` holds ``(weight, amps)`` pairs, each ``amps`` a map
+    from occupation vector to amplitude over ``registry``.  Weights are
+    renormalized to sum 1 on construction; branches of weight at most
+    ``WEIGHT_PRUNE`` are dropped and exactly identical branches are
     merged.
     """
 
     __slots__ = ("registry", "branches")
 
-    def __init__(self, branches):
-        branches = [(float(w), s) for w, s in branches if w > WEIGHT_PRUNE]
-        if not branches:
-            raise FockError("ensemble needs at least one branch with positive weight")
-        registry = branches[0][1].registry
-        for _, state in branches:
-            if state.registry is not registry and state.registry != registry:
-                raise RegistryMismatchError("all ensemble branches must share one registry")
+    def __init__(self, registry: ModeRegistry, branches):
         grouped: dict[frozenset, list] = {}
-        for w, s in branches:
-            key = frozenset(s.amps.items())
-            entry = grouped.get(key)
-            if entry is None:
-                grouped[key] = [w, s]
-            else:
-                entry[0] += w
-        branches = [(w, s) for w, s in grouped.values()]
-        total = sum(w for w, _ in branches)
+        for w, amps in branches:
+            if w > WEIGHT_PRUNE:
+                key = frozenset(amps.items())
+                entry = grouped.get(key)
+                if entry is None:
+                    grouped[key] = [float(w), amps]
+                else:
+                    entry[0] += float(w)
+        if not grouped:
+            raise FockError("ensemble needs at least one branch with positive weight")
+        total = sum(w for w, _ in grouped.values())
         self.registry = registry
-        self.branches = tuple((w / total, s) for w, s in branches)
+        self.branches = tuple((w / total, amps) for w, amps in grouped.values())
 
     @classmethod
     def from_pure(cls, state: PureState) -> "WeightedEnsemble":
-        return cls([(1.0, state.normalized())])
+        return cls(state.registry, [(1.0, state.normalized().amps)])
 
     @property
     def branch_count(self) -> int:
@@ -301,9 +283,9 @@ class WeightedEnsemble:
         columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in u.T.tolist()]
 
         mapped = []
-        for w, state in self.branches:
+        for w, amps in self.branches:
             out: dict[tuple, complex] = {}
-            for occ, amp in state.amps.items():
+            for occ, amp in amps.items():
                 ns = [occ[i] for i in idxs]
                 base = list(occ)
                 for i in idxs:
@@ -323,21 +305,18 @@ class WeightedEnsemble:
                         terms = nxt
                 for occ3, a3 in terms.items():
                     out[occ3] = out.get(occ3, 0.0) + a3
-            mapped.append((w, PureState._unchecked(self.registry, out)))
-        return WeightedEnsemble(mapped)
+            mapped.append((w, _pruned(out)))
+        return WeightedEnsemble(self.registry, mapped)
 
     def tensor(self, other: "WeightedEnsemble") -> "WeightedEnsemble":
         """Tensor product over the concatenated registries."""
         registry = ModeRegistry(self.registry.modes + other.registry.modes)
         out = []
-        for w1, s1 in self.branches:
-            for w2, s2 in other.branches:
-                amps = {}
-                for o1, a1 in s1.amps.items():
-                    for o2, a2 in s2.amps.items():
-                        amps[o1 + o2] = a1 * a2
-                out.append((w1 * w2, PureState._unchecked(registry, amps)))
-        return WeightedEnsemble(out)
+        for w1, amps1 in self.branches:
+            for w2, amps2 in other.branches:
+                amps = {o1 + o2: a1 * a2 for o1, a1 in amps1.items() for o2, a2 in amps2.items()}
+                out.append((w1 * w2, _pruned(amps)))
+        return WeightedEnsemble(registry, out)
 
     def apply_loss(self, mode: ModeId, eta: float) -> "WeightedEnsemble":
         """Photon loss of transmissivity eta on one mode.
@@ -351,17 +330,17 @@ class WeightedEnsemble:
         i = self.registry.index(mode)
         factors = _binomial_factors(eta)
         out = []
-        for w, state in self.branches:
+        for w, amps in self.branches:
             lost: dict[int, dict[tuple, complex]] = {}
-            for occ, amp in state.amps.items():
+            for occ, amp in amps.items():
                 n = occ[i]
                 # Fewest photons lost first, the order the components are listed in.
                 for kept, coeff in reversed(factors[n]):
                     new = occ[:i] + (kept,) + occ[i + 1:]
                     comp = lost.setdefault(n - kept, {})
                     comp[new] = comp.get(new, 0.0) + amp * coeff
-            out.extend(branch for _, branch in _split(w, self.registry, lost))
-        return WeightedEnsemble(out)
+            out.extend(branch for _, branch in _split(w, lost))
+        return WeightedEnsemble(self.registry, out)
 
     def measure(self, modes, eta: float) -> list[MeasurementOutcome]:
         """Number-resolved measurement of ``modes`` by detectors of
@@ -385,9 +364,9 @@ class WeightedEnsemble:
         # photons -> [((counts, photons), joint factor)], nonzero factors only
         joint: dict[tuple, list] = {}
         per_outcome: dict[tuple, list] = {}
-        for w, state in self.branches:
+        for w, amps in self.branches:
             comps: dict[tuple, dict[tuple, complex]] = {}  # (counts, photons) -> component
-            for occ, amp in state.amps.items():
+            for occ, amp in amps.items():
                 ns = measured(occ)
                 terms = joint.get(ns)
                 if terms is None:
@@ -399,10 +378,10 @@ class WeightedEnsemble:
                 rest = kept_modes(occ)
                 for key, coeff in terms:
                     comps.setdefault(key, {})[rest] = amp * coeff
-            for (ks, _), branch in _split(w, reduced, comps):
+            for (ks, _), branch in _split(w, comps):
                 per_outcome.setdefault(ks, []).append(branch)
         return [
-            MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(parts))
+            MeasurementOutcome(ks, sum(p for p, _ in parts), WeightedEnsemble(reduced, parts))
             for ks, parts in sorted(per_outcome.items())
         ]
 

@@ -153,8 +153,8 @@ def store_to_memory(photon: PureState, eta_p: float, eta_s: float, site: str = "
     registry = memory_registry(site, "T")
     stored = PureState(registry, {(1, 0): amp_d / nrm, (0, 1): amp_u / nrm})
     weight = eta_p * eta_s
-    branches = [(1.0 - weight, PureState.vacuum(registry)), (weight, stored)]
-    return WeightedEnsemble(branches)
+    branches = [(1.0 - weight, PureState.vacuum(registry).amps), (weight, stored.amps)]
+    return WeightedEnsemble(registry, branches)
 
 
 def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], species: str) -> WeightedEnsemble:
@@ -182,15 +182,15 @@ def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], s
     new_registry = ModeRegistry(tuple(m for _, m in kept) + tuple(converted.values()))
 
     branches = []
-    for w, state in memory.branches:
-        amps = {}
-        for occ, amp in state.amps.items():
+    for w, amps in memory.branches:
+        out = {}
+        for occ, amp in amps.items():
             emitted = tuple(occ[i] for i in converted)
             if any(o > 1 for o in emitted):
                 raise OpticsError(f"conversion supports at most one excitation per {species} mode")
-            amps[tuple(occ[i] for i in keep_idx) + emitted] = amp
-        branches.append((w, PureState(new_registry, amps)))
-    ens = WeightedEnsemble(branches)
+            out[tuple(occ[i] for i in keep_idx) + emitted] = amp
+        branches.append((w, out))
+    ens = WeightedEnsemble(new_registry, branches)
     for mode in converted.values():
         ens = ens.apply_loss(mode, eta)
     return ens
@@ -259,11 +259,11 @@ def corrected_fidelity(
 
     base = 0.0
     z = 0.0 + 0.0j
-    for w, state in memory.branches:
+    for w, amps in memory.branches:
         c0 = 0.0 + 0.0j
         c1 = 0.0 + 0.0j
         for occ, t_amp in target.amps.items():
-            m_amp = state.amps.get(occ)
+            m_amp = amps.get(occ)
             if m_amp is None:
                 continue
             if occ[d_idx] == 0:

@@ -12,6 +12,7 @@ from repeaterlab.fock import (
     ModeId,
     ModeRegistry,
     PureState,
+    WEIGHT_PRUNE,
     RegistryMismatchError,
     WeightedEnsemble,
     dark_sector_hamiltonian,
@@ -58,6 +59,48 @@ def test_vacuum_needs_modes():
 
 
 # ---------------------------------------------------------------------------
+# ensemble constructor
+# ---------------------------------------------------------------------------
+
+ONE_A = {(1, 0): 1.0 + 0.0j}
+ONE_B = {(0, 1): 1.0 + 0.0j}
+
+
+def test_ensemble_merges_exactly_identical_branches():
+    reg = two_modes()
+    flipped = {(1, 0): -1.0 + 0.0j}
+    ens = WeightedEnsemble(reg, [(0.2, ONE_A), (0.4, ONE_B), (0.1, flipped), (0.3, dict(ONE_A))])
+    assert ens.registry is reg
+    # Merged weights are summed; a branch differing by a sign is kept apart.
+    assert [amps for _, amps in ens.branches] == [ONE_A, ONE_B, flipped]
+    assert [w for w, _ in ens.branches] == pytest.approx([0.5, 0.4, 0.1], abs=1e-15)
+
+
+def test_ensemble_renormalizes_weights():
+    ens = WeightedEnsemble(two_modes(), [(2.0, ONE_A), (6.0, ONE_B)])
+    assert [w for w, _ in ens.branches] == [0.25, 0.75]
+
+
+def test_ensemble_drops_light_branches():
+    ens = WeightedEnsemble(two_modes(), [(1.0, ONE_A), (WEIGHT_PRUNE, ONE_B), (0.0, {(1, 1): 1.0 + 0.0j})])
+    assert ens.branches == ((1.0, ONE_A),)
+    kept = WeightedEnsemble(two_modes(), [(1.0, ONE_A), (2 * WEIGHT_PRUNE, ONE_B)])
+    assert kept.branch_count == 2
+
+
+@pytest.mark.parametrize("branches", [[], [(WEIGHT_PRUNE, ONE_A), (0.0, ONE_B)]])
+def test_ensemble_needs_a_heavy_branch(branches):
+    with pytest.raises(FockError, match="at least one branch"):
+        WeightedEnsemble(two_modes(), branches)
+
+
+@pytest.mark.parametrize("amps", [{}, {(1, 0): 0.0}, {(1, 0): 1e-16}])
+def test_from_pure_refuses_zero_state(amps):
+    with pytest.raises(FockError, match="zero state"):
+        WeightedEnsemble.from_pure(PureState(two_modes(), amps))
+
+
+# ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
 
@@ -68,7 +111,7 @@ def map_pure(state, modes, u):
     """The mapped state of a one-branch ensemble holding ``state``."""
     ((weight, out),) = WeightedEnsemble.from_pure(state).apply_linear_map(modes, u).branches
     assert weight == 1.0
-    return out
+    return PureState(state.registry, out)
 
 
 def test_balanced_splitter_on_single_photon():
@@ -121,14 +164,14 @@ def test_linear_map_acts_on_each_branch():
         PureState(reg, {occ: complex(rng.normal(), rng.normal()) for occ in ((1, 0), (0, 1), (1, 1))}).normalized()
         for _ in range(2)
     )
-    mixed = WeightedEnsemble([(0.25, first), (0.75, second)])
+    mixed = WeightedEnsemble(reg, [(0.25, first.amps), (0.75, second.amps)])
     u = unitary_group.rvs(2, random_state=11)
     mapped = mixed.apply_linear_map(reg.modes, u)
     assert len(mapped.branches) == 2
     for (w_in, s_in), (w_out, s_out) in zip(mixed.branches, mapped.branches):
-        ((w_alone, s_alone),) = WeightedEnsemble([(1.0, s_in)]).apply_linear_map(reg.modes, u).branches
+        ((w_alone, s_alone),) = WeightedEnsemble(reg, [(1.0, s_in)]).apply_linear_map(reg.modes, u).branches
         assert w_out == w_in and w_alone == 1.0
-        assert s_out.amps == s_alone.amps
+        assert s_out == s_alone
     with pytest.raises(FockError, match="unitary"):
         mixed.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
@@ -159,7 +202,7 @@ def test_loss_splits_single_photon():
     mode = reg.modes[0]
     ens = WeightedEnsemble.from_pure(PureState(reg, {(1, 0): 1.0}))
     lossy = ens.apply_loss(mode, 0.3)
-    weights = sorted((w, s.amps) for w, s in lossy.branches)
+    weights = sorted((w, s) for w, s in lossy.branches)
     assert weights[0][0] == pytest.approx(0.3)
     assert (1, 0) in weights[0][1]
     assert weights[1][0] == pytest.approx(0.7)
@@ -172,7 +215,7 @@ def test_loss_eta_one_is_identity():
     ens = WeightedEnsemble.from_pure(random_state(reg, rng))
     out = ens.apply_loss(reg.modes[0], 1.0)
     assert out.branch_count == 1
-    assert out.branches[0][1].amps == pytest.approx(ens.branches[0][1].amps)
+    assert out.branches[0][1] == pytest.approx(ens.branches[0][1])
 
 
 def test_loss_eta_zero_empties_mode():
@@ -180,7 +223,7 @@ def test_loss_eta_zero_empties_mode():
     ens = WeightedEnsemble.from_pure(PureState(reg, {(1, 0): 1.0}))
     out = ens.apply_loss(reg.modes[0], 0.0)
     assert out.branch_count == 1
-    assert out.branches[0][1].amps == {(0, 0): pytest.approx(1.0)}
+    assert out.branches[0][1] == {(0, 0): pytest.approx(1.0)}
 
 
 def _number_distribution(ens, mode):
@@ -215,8 +258,8 @@ def test_loss_weight_sum_and_no_gain():
     ens = WeightedEnsemble.from_pure(random_state(reg, rng))
     out = ens.apply_loss(reg.modes[1], 0.37)
     assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-10)
-    max_in = max(sum(occ) for _, s in ens.branches for occ in s.amps)
-    max_out = max(sum(occ) for _, s in out.branches for occ in s.amps)
+    max_in = max(sum(occ) for _, s in ens.branches for occ in s)
+    max_out = max(sum(occ) for _, s in out.branches for occ in s)
     assert max_out <= max_in
 
 
@@ -279,7 +322,7 @@ def test_measure_outcome_rarer_than_prune_threshold():
     # it is dropped instead of leaving an outcome without a state.
     reg = two_modes()
     light = PureState(reg, {(0, 1): math.sqrt(1 - 1e-6), (1, 0): 1e-3})
-    ens = WeightedEnsemble([(1 - 1e-7, PureState.vacuum(reg)), (1e-7, light)])
+    ens = WeightedEnsemble(reg, [(1 - 1e-7, PureState.vacuum(reg).amps), (1e-7, light.amps)])
     outcomes = ens.measure((reg.modes[0],), 1.0)
     assert [mo.outcome for mo in outcomes] == [(0,)]
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
@@ -343,12 +386,12 @@ def test_tensor_product():
     ea = WeightedEnsemble.from_pure(PureState(ra, {(1,): 1.0}))
     eb = WeightedEnsemble.from_pure(PureState(rb, {(0,): 1.0}))
     out = ea.tensor(eb)
-    assert out.branches[0][1].amps == {(1, 0): pytest.approx(1.0)}
+    assert out.branches[0][1] == {(1, 0): pytest.approx(1.0)}
 
 
 def test_constructor_rejects_bad_occupations():
     # The public constructor is where occupation vectors are checked;
-    # the engine's own results skip the check.
+    # the engine's branches are plain maps that skip the check.
     reg = two_modes()
     with pytest.raises(FockError):
         PureState(reg, {(0, 0, 0): 1})

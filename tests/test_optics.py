@@ -87,21 +87,21 @@ def test_store_perfect_gives_pure_mapped_state():
     assert ens.branch_count == 1
     w, state = ens.branches[0]
     assert w == pytest.approx(1.0)
-    assert state.amplitude((1, 0)) == pytest.approx(1 / SQ2)
-    assert state.amplitude((0, 1)) == pytest.approx(cmath.exp(1j * phi) / SQ2)
+    assert state.get((1, 0), 0.0) == pytest.approx(1 / SQ2)
+    assert state.get((0, 1), 0.0) == pytest.approx(cmath.exp(1j * phi) / SQ2)
 
 
 def test_store_vacuum_weight():
     # 1 - 0.9 * 0.9 = 0.19 by hand
     ens = store_to_memory(input_photon_state(0.0), 0.9, 0.9, "L")
-    vac = [w for w, s in ens.branches if s.amplitude((0, 0)) != 0]
+    vac = [w for w, s in ens.branches if s.get((0, 0), 0.0) != 0]
     assert vac[0] == pytest.approx(0.19, abs=1e-12)
 
 
 def test_store_dead_source_gives_vacuum():
     ens = store_to_memory(input_photon_state(0.0), 0.0, 0.9, "L")
     assert ens.branch_count == 1
-    assert ens.branches[0][1].amplitude((0, 0)) == pytest.approx(1.0)
+    assert ens.branches[0][1].get((0, 0), 0.0) == pytest.approx(1.0)
 
 
 def test_store_rejects_malformed_input():
@@ -122,8 +122,8 @@ def test_retrieve_t_to_s_perfect_mode_map():
     assert out.branch_count == 1
     state = out.branches[0][1]
     # (S_u a_H + e^{i phi} S_d a_V)/sqrt2 over (S_u, S_d, aH, aV)
-    assert state.amplitude((1, 0, 1, 0)) == pytest.approx(1 / SQ2)
-    assert state.amplitude((0, 1, 0, 1)) == pytest.approx(cmath.exp(1j * phi) / SQ2)
+    assert state.get((1, 0, 1, 0), 0.0) == pytest.approx(1 / SQ2)
+    assert state.get((0, 1, 0, 1), 0.0) == pytest.approx(cmath.exp(1j * phi) / SQ2)
 
 
 def test_retrieve_t_to_s_full_loss_keeps_memory():
@@ -134,7 +134,7 @@ def test_retrieve_t_to_s_full_loss_keeps_memory():
         dist = {mo.outcome: mo.probability for mo in out.measure((mode,), 1.0)}
         assert dist == {(0,): pytest.approx(1.0, abs=1e-12)}
     mean_s_excitation = sum(
-        w * sum((occ[0] + occ[1]) * abs(a) ** 2 for occ, a in s.amps.items())
+        w * sum((occ[0] + occ[1]) * abs(a) ** 2 for occ, a in s.items())
         for w, s in out.branches
     )
     assert mean_s_excitation == pytest.approx(1.0, abs=1e-10)
@@ -154,9 +154,9 @@ def test_retrieve_s_to_photon_pme_to_photons():
     out = retrieve_s_to_photon(ens, 1.0, {"A": "a", "B": "b"})
     assert out.branch_count == 1
     state = out.branches[0][1]
-    assert len(state.registry) == 4  # S modes removed, photon modes only
-    assert state.amplitude((1, 0, 1, 0)) == pytest.approx(1 / SQ2)
-    assert state.amplitude((0, 1, 0, 1)) == pytest.approx(1 / SQ2)
+    assert len(out.registry) == 4  # S modes removed, photon modes only
+    assert state.get((1, 0, 1, 0), 0.0) == pytest.approx(1 / SQ2)
+    assert state.get((0, 1, 0, 1), 0.0) == pytest.approx(1 / SQ2)
 
 
 def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
@@ -165,7 +165,7 @@ def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
     out = retrieve_s_to_photon(ens, 0.0, {"A": "a", "B": "b"})
     assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-10)
     for w, s in out.branches:
-        assert all(sum(occ) == 0 for occ in s.amps)
+        assert all(sum(occ) == 0 for occ in s)
 
 
 
