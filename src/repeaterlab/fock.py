@@ -211,6 +211,17 @@ def _split(w: float, comps: dict):
             yield key, (p, {occ: b for occ, a in amps.items() if abs(b := a / nrm) >= AMPLITUDE_PRUNE})
 
 
+def checked_unitary(u, k: int) -> np.ndarray:
+    """``u`` as a complex array, refused unless it is k x k and unitary
+    within ``UNITARY_TOL``."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (k, k):
+        raise FockError(f"matrix shape {u.shape} does not match {k} modes")
+    if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
+        raise FockError("matrix is not unitary within tolerance")
+    return u
+
+
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """One number-resolved outcome: the count at each measured mode, its
@@ -266,12 +277,12 @@ class WeightedEnsemble:
         total photon number in the mapped modes.
         """
         modes = list(modes)
-        u = np.asarray(u, dtype=complex)
+        return self._map_checked(modes, checked_unitary(u, len(modes)))
+
+    def _map_checked(self, modes, u: np.ndarray) -> "WeightedEnsemble":
+        """``apply_linear_map`` for a ``u`` that ``checked_unitary`` has
+        passed; ``optics`` checks its analyzer matrix once, at import."""
         k = len(modes)
-        if u.shape != (k, k):
-            raise FockError(f"matrix shape {u.shape} does not match {k} modes")
-        if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
-            raise FockError("matrix is not unitary within tolerance")
         for m in modes:
             if m.kind == "ensemble":
                 raise FockError("linear maps act on photonic modes only")

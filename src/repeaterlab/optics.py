@@ -37,6 +37,7 @@ from .fock import (
     ModeRegistry,
     PureState,
     WeightedEnsemble,
+    checked_unitary,
 )
 from .rates import fiber_transmission
 
@@ -90,12 +91,13 @@ BSM_INPUT_MODES = (
 # Columns: input modes (aH, aV, bH, bV); rows: detectors D1..D4.
 #   aH -> cH -> (D1 + D2)/sqrt2        aV -> dV -> (D3 - D4)/sqrt2
 #   bH -> dH -> (D3 + D4)/sqrt2        bV -> cV -> (D1 - D2)/sqrt2
-BSM_UNITARY = SQRT_HALF * np.array([
+# Checked here, once; ``apply_bsm`` maps with it unchecked.
+BSM_UNITARY = checked_unitary(SQRT_HALF * np.array([
     [1.0, 0.0, 0.0, 1.0],
     [1.0, 0.0, 0.0, -1.0],
     [0.0, 1.0, 1.0, 0.0],
     [0.0, -1.0, 1.0, 0.0],
-], dtype=complex)
+], dtype=complex), len(BSM_INPUT_MODES))
 BSM_UNITARY.flags.writeable = False
 
 
@@ -107,7 +109,7 @@ def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcom
     conditional memory (photonic modes measured out); the outcome
     probabilities sum to 1.
     """
-    return photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
+    return photons._map_checked(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
 
 
 # ---------------------------------------------------------------------------

@@ -20,23 +20,30 @@ substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
 rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
 ``PCG64`` from ``derive_trial_seed``; ``_trial_states`` yields the same
-states from numpy's seeding arithmetic over arrays of trials, and
-``estimate`` loads each into one reused Generator, with one
-``_TrialSampler`` keeping the run's attempt totals.  Within a trial the
-stream runs top-down: one Geom(p_swap) attempt count per requested link
-at each level; then, per level-0 request, the K ~ Geom(p_0) launch counts.
-A request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
-draws them pulse by pulse; a larger one draws each link's exact compound
-sums: gamma and Poisson variates for the launches' minima, the first
-tie's position, a binomial count of later ties if that comes by launch
-K, and gamma and Poisson variates for the untied launches' excess.
-Requests expecting more than ``_SLICE_LINKS`` elementary links are
-sampled in halves.  The two constants fix the stream: n = 0 over 80 km
-and n = 1 over 160 km draw one by one, n = 4 over 1280 km 99.5% compound.
-A single-link request, the top of every trial, draws the same variates
-but keeps its launch total and, at level 0, its duration as Python
-numbers, with the same IEEE operations: at n <= 1 much of a trial's
-cost is numpy's fixed cost per call.
+states from numpy's seeding arithmetic over arrays of trials.
+``estimate`` runs its trials in blocks of max(1, floor(``_SLICE_DRAWS``
+p_0 / (2 (2/p_swap)^n))), so a block expects at most ``_SLICE_DRAWS``
+direct preparation draws.  Each trial of a block draws on its own
+Generator, loaded with its state, exactly the variates it draws alone,
+in the same order; the block does the arithmetic on them once, over
+joined arrays, so the block size never changes an output, and
+``simulate_trial`` is a block of one.  Within a trial the stream runs
+top-down: one Geom(p_swap) attempt count per requested link at each
+level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
+request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
+draws them one by one, as two rows of K waits.  Below p_l = 1/3 they are
+standard exponentials E, each wait ceil(E / -log1p(-p_l)), which is how
+``Generator.geometric`` draws there (bit for bit, checked on numpy
+2.4.6); from 1/3 up ``Generator.geometric`` draws them.  A larger
+request draws each link's exact compound sums: gamma and Poisson
+variates for the launches' minima, the first tie's position, a binomial
+count of later ties if that comes by launch K, and gamma and Poisson
+variates for the untied launches' excess.  Requests expecting more than
+``_SLICE_LINKS`` elementary links are sampled in halves: a list of
+several trials' requests by trials, one trial's request by links, so a
+trial is split as it would be alone.  The two constants fix the stream:
+n = 0 over 80 km and n = 1 over 160 km draw one by one, n = 4 over
+1280 km 99.5% compound.
 
 A trial is refused (SimulationGuardError) when one elementary link
 expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
@@ -191,7 +198,8 @@ _SLICE_LINKS = 2**16
 # links' compound sums: about 65 us for five numpy calls with array
 # parameters at 11-15 us each, plus 0.3 us a link, against 25 ns a draw.
 # 2^14 keeps n = 0 over 80 km and n = 1 over 160 km one by one, and n = 4
-# over 1280 km compound.
+# over 1280 km compound.  A block of trials expects at most this many
+# preparation draws, or holds one trial.
 _SLICE_DRAWS = 2**14
 # Expected preparation draws 2/(p_l p_0) of one elementary link above
 # which a trial is refused.  Below it a link's expected draws, and so its
@@ -204,27 +212,18 @@ _MAX_LINK_DRAWS = 2**46
 _MAX_TRIAL_LINKS = 2**24
 
 
-# The segment start of a single-link request.
-_FIRST = np.zeros(1, dtype=np.intp)
-
-
-def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
-                   total: int, starts: np.ndarray = _FIRST) -> tuple[np.ndarray, int]:
-    """Pulse slots of links with ``launches`` launches each, and the
-    total preparation draws; ``total`` is ``launches.sum()`` and
-    ``starts`` each link's first launch in launch order.
+def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pulse slots of links with ``launches`` launches each, and their
+    total preparation draws, from exact compound sums.
 
     Each launch waits max(G1, G2) slots for iid Geom(p_l) preparations at
-    the two ends and counts G1 + G2 draws.  Up to ``_SLICE_DRAWS`` draws
-    are made one by one; above that a link's K launches sum min ~ Geom(1 -
-    q^2) and, unless tied (P = s = p_l/(2 - p_l)), excess ~ Geom(p_l), as
-    gamma-Poisson negative binomials, which allow a count or odds of 0;
-    max = min + excess and G1 + G2 = max + min.  A link's first tie, at
-    launch Geom(s), brings 1 + Bin(K - first, s) ties if it comes by K.
+    the two ends and counts G1 + G2 draws.  A link's K launches sum min ~
+    Geom(1 - q^2) and, unless tied (P = s = p_l/(2 - p_l)), excess ~
+    Geom(p_l), as gamma-Poisson negative binomials, which allow a count or
+    odds of 0; max = min + excess and G1 + G2 = max + min.  A link's first
+    tie, at launch Geom(s), brings 1 + Bin(K - first, s) ties if it comes
+    by K.
     """
-    if 2 * total <= _SLICE_DRAWS:
-        draws = rng.geometric(p_l, size=(2, total))
-        return np.add.reduceat(np.maximum(draws[0], draws[1]), starts), int(np.add.reduce(draws, None))
     q, tie = 1.0 - p_l, p_l / (2.0 - p_l)
     mins = launches + rng.poisson(rng.standard_gamma(launches) * (q * q / (p_l * (2.0 - p_l))))
     first = rng.geometric(tie, size=launches.size)
@@ -236,10 +235,10 @@ def _level0_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray,
 
 
 class _TrialSampler:
-    """Trials of one (params, policy, stage_probs) run, each on a given
-    Generator, and the run's attempt totals (Python ints, so exact); the
-    stage probabilities are validated and both guards run once, when the
-    sampler is built."""
+    """Blocks of trials of one (params, policy, stage_probs) run, each
+    trial on its own Generator, and the run's attempt totals (Python
+    ints, so exact); the stage probabilities are validated and both
+    guards run once, when the sampler is built."""
 
     def __init__(self, params: ProtocolParams, policy: SimPolicy,
                  stage_probs: tuple[float, float, float] | None = None):
@@ -262,47 +261,111 @@ class _TrialSampler:
         self.n = params.n
         self.swap_comm_time = policy.swap_comm_time
         self.p_l, self.p_0, self.p_sw = p_l, p_0, p_sw
+        # Trials per block: a trial expects 2 (2/p_swap)^n / p_0 preparation draws.
+        self.block = max(1, int(_SLICE_DRAWS / (2.0 * (2.0 / p_sw) ** params.n / p_0)))
+        # Below 1/3 numpy draws Geom(p) as ceil(E / -log1p(-p)), E a
+        # standard exponential; from 1/3 up it searches (scale 0).
+        self.scale = -math.log1p(-p_l) if p_l < 1.0 / 3.0 else 0.0
         self.slot = 1.0 / params.r
         self.flight = params.l0 / params.c
         self.prep_attempts = 0
         self.link_attempts = 0
         self.swap_attempts = [0] * params.n
 
-    def __call__(self, rng: np.random.Generator) -> float:
-        """Total time of one trial drawn from ``rng``."""
-        return float(self.durations(rng, self.n, 1)[0])
+    def __call__(self, rngs: list[np.random.Generator]) -> np.ndarray:
+        """Total times of ``len(rngs)`` trials, trial j drawn from ``rngs[j]``."""
+        return self.durations(rngs, self.n, [1] * len(rngs))
 
-    def durations(self, rng: np.random.Generator, level: int, m: int) -> np.ndarray:
-        """Durations of ``m`` independent level-``level`` links; one
-        level-0 link, a whole n = 0 trial, comes as a 1-tuple of a float.
+    def durations(self, rngs: list[np.random.Generator], level: int, ms: list[int]) -> np.ndarray:
+        """Durations of ``ms[j]`` independent level-``level`` links drawn
+        from ``rngs[j]``, for each j in turn.
 
         Failed subtrees restart from scratch, so a link lasts the sum, over
         its attempts, of the longer of two fresh links one level down.
         """
-        # A link at this level expects (2/p_swap)^level elementary links.
-        if m > 1 and m * (2.0 / self.p_sw) ** level > _SLICE_LINKS:
-            half = m // 2
-            return np.concatenate((self.durations(rng, level, half), self.durations(rng, level, m - half)))
-        attempts = rng.geometric(self.p_0 if level == 0 else self.p_sw, size=m)
-        if m == 1:
-            total, starts = int(attempts[0]), _FIRST
+        # A link at this level expects (2/p_swap)^level elementary links;
+        # a list is halved by entries, then a single entry by links.
+        if sum(ms) * (2.0 / self.p_sw) ** level > _SLICE_LINKS and (len(ms) > 1 or ms[0] > 1):
+            if len(ms) > 1:
+                half = len(ms) // 2
+                parts = (rngs[:half], ms[:half]), (rngs[half:], ms[half:])
+            else:
+                half = ms[0] // 2
+                parts = (rngs, [half]), (rngs, [ms[0] - half])
+            return np.concatenate([self.durations(r, level, m) for r, m in parts])
+        p = self.p_0 if level == 0 else self.p_sw
+        if len(ms) == 1:  # its total comes below, from a sum or the running sum
+            counts = [rngs[0].geometric(p, size=ms[0])]
+            joined, totals = counts[0], None
         else:
-            starts = attempts.cumsum()
-            total = int(starts[-1])
-            starts -= attempts
+            counts = [rng.geometric(p, size=m) for rng, m in zip(rngs, ms)]
+            joined = np.concatenate(counts)
+            totals = np.add.reduceat(joined, np.cumsum([0] + ms[:-1])).tolist()
         if level == 0:
-            self.link_attempts += total
-            pulses, draws = _level0_pulses(rng, self.p_l, attempts, total, starts)
-            self.prep_attempts += draws
-            if m == 1:  # the same IEEE operations as the array expression
-                return (float(pulses[0]) * self.slot + total * self.flight,)
-            return pulses * self.slot + attempts * self.flight
+            totals = totals or [int(np.add.reduce(joined))]
+            self.link_attempts += sum(totals)
+            return self._pulses(rngs, counts, totals) * self.slot + joined * self.flight
+        starts = joined.cumsum()
+        totals = totals or [int(starts[-1])]
+        starts -= joined
+        total = sum(totals)
         self.swap_attempts[level - 1] += total
-        left, right = self.durations(rng, level - 1, 2 * total).reshape(2, total)
+        children = self.durations(rngs, level - 1, [2 * t for t in totals])
+        if len(totals) == 1:
+            left, right = children.reshape(2, total)
+        else:  # round g of an entry with t rounds and A before it pairs children g + A and g + A + t
+            t = np.array(totals)
+            before = t.cumsum() - t
+            left, right = children[np.repeat(np.stack((before, before + t)), t, axis=1) + np.arange(total)]
         rounds = np.maximum(left, right)
         if self.swap_comm_time:
             rounds += 2 ** (level - 1) * self.flight
         return np.add.reduceat(rounds, starts)
+
+    def _pulses(self, rngs: list[np.random.Generator], launches: list[np.ndarray], totals: list[int]) -> np.ndarray:
+        """Pulse slots of the links with ``launches[j]`` launches each,
+        drawn from ``rngs[j]``, in turn; ``totals[j]`` is their sum.
+
+        A request of at most ``_SLICE_DRAWS`` preparation draws fills two
+        rows of the block's draws, turned into Geom(p_l) waits, maxima,
+        link sums and a draw total once for the block; a larger one draws
+        its links' compound sums (``_compound_pulses``).
+        """
+        pieces, direct = [], []
+        for rng, k, t in zip(rngs, launches, totals):
+            if 2 * t <= _SLICE_DRAWS:
+                direct.append((rng, k, t))
+                pieces.append(None)
+            else:
+                pulses, draws = _compound_pulses(rng, self.p_l, k)
+                self.prep_attempts += draws
+                pieces.append(pulses)
+        if direct:
+            waits = np.empty((2, sum(t for _, _, t in direct)))
+            offset = 0
+            for rng, _, t in direct:
+                row = waits[:, offset:offset + t]
+                if self.scale:
+                    rng.standard_exponential(out=row[0])
+                    rng.standard_exponential(out=row[1])
+                else:
+                    row[:] = rng.geometric(self.p_l, size=(2, t))
+                offset += t
+            if self.scale:
+                waits /= self.scale
+                np.ceil(waits, out=waits)
+            waits = waits.astype(np.int64)
+            self.prep_attempts += int(np.add.reduce(waits, None))
+            k = direct[0][1] if len(direct) == 1 else np.concatenate([k for _, k, _ in direct])
+            pulses = np.add.reduceat(np.maximum(waits[0], waits[1]), k.cumsum() - k)
+            if len(direct) == len(pieces):
+                return pulses
+            link = 0  # hand each direct request its links
+            for j, k in enumerate(launches):
+                if pieces[j] is None:
+                    pieces[j] = pulses[link:link + k.size]
+                    link += k.size
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def simulate_trial(
@@ -325,7 +388,7 @@ def simulate_trial(
     sampler = _TrialSampler(params, policy, stage_probs)
     # As in ``estimate``: an overflowing trial time is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        total_time = sampler(np.random.Generator(np.random.PCG64(seed)))
+        total_time = float(sampler([np.random.Generator(np.random.PCG64(seed))])[0])
     if not math.isfinite(total_time):
         raise SimulationGuardError(f"the trial time is {total_time}, not a finite float")
     counts = StageCounts(sampler.prep_attempts, sampler.link_attempts, tuple(sampler.swap_attempts))
@@ -375,8 +438,9 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
 
     Trial i runs exactly as ``simulate_trial(params, policy,
     derive_trial_seed(seed, i))``: ``_trial_states`` yields the generator
-    states ``_SEED_CHUNK`` trials at a time, each is loaded into one
-    reused Generator, and the sampler keeps the run's attempt totals.
+    states ``_SEED_CHUNK`` trials at a time, a block's states are loaded
+    into one reused Generator per trial, and the sampler keeps the run's
+    attempt totals.
     Raises SimulationGuardError if the mean or the standard error of the
     trial times is not a finite float.
     """
@@ -388,15 +452,18 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     except MemoryError as exc:
         raise SimulationGuardError(f"{trials} trials need {8.0 * trials:.3g} bytes for their total times, "
                                    "more than can be allocated") from exc
-    # The state is replaced before every trial.
-    rng = np.random.Generator(np.random.PCG64(0))
+    # Trial i's state, loaded into its block's Generator before the block runs.
+    states = (state for start in range(0, trials, _SEED_CHUNK)
+              for state in _trial_states(seed, start, min(start + _SEED_CHUNK, trials)))
+    pool = [np.random.Generator(np.random.PCG64(0)) for _ in range(min(sample.block, trials))]
     # Trial times near the float range overflow in the sampler, their sum
     # or their sum of squares; the check below refuses such a run.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, trials, _SEED_CHUNK):
-            for i, state in enumerate(_trial_states(seed, start, min(start + _SEED_CHUNK, trials)), start):
+        for start in range(0, trials, sample.block):
+            rngs = pool[:trials - start]
+            for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
-                totals[i] = sample(rng)
+            totals[start:start + len(rngs)] = sample(rngs)
         p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
         mean = float(np.mean(totals))
         std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -450,7 +517,7 @@ def expected_pulses_both_ready(p_l: float) -> float:
 
     E[max(G_a, G_b)] for iid Geom(p): the shorter wait, 1/(p(2-p)), plus
     the excess 1/p unless the two tie (probability p/(2-p)), the
-    decomposition ``_level0_pulses`` samples: (3 - 2p)/(p(2-p)).
+    decomposition ``_compound_pulses`` samples: (3 - 2p)/(p(2-p)).
     """
     if not 0.0 < p_l <= 1.0:
         raise ValueError(f"p_l must be in (0, 1], got {p_l}")

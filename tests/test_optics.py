@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from repeaterlab import rates
+from repeaterlab import fock, rates
 from repeaterlab.core import paper_defaults
 from repeaterlab.fock import ModeId, ModeRegistry, PureState, WeightedEnsemble
 from repeaterlab.optics import (
+    BSM_INPUT_MODES,
     BSM_UNITARY,
     BsmOutcome,
     OpticsError,
@@ -226,6 +227,20 @@ def test_bsm_vacuum_input():
 def test_bsm_probabilities_sum_to_one_with_loss():
     results = apply_bsm(bell_photons("phi+"), 0.55)
     assert sum(r.probability for r in results) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bsm_matrix_checked_once(monkeypatch):
+    # BSM_UNITARY passed fock.checked_unitary when optics was imported, so
+    # apply_bsm maps with it unchecked; a matrix given to
+    # apply_linear_map is still checked on every call.
+    def refuse(u, k):
+        raise AssertionError("matrix checked on a call")
+
+    monkeypatch.setattr(fock, "checked_unitary", refuse)
+    photons = bell_photons("phi+")
+    assert sum(r.probability for r in apply_bsm(photons, 0.55)) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(AssertionError, match="checked on a call"):
+        photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)
 
 
 # ---------------------------------------------------------------------------

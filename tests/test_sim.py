@@ -12,11 +12,12 @@ from repeaterlab.core import paper_defaults, validate
 from repeaterlab.sim import (
     SimPolicy,
     SimulationGuardError,
+    _compound_pulses,
     _expected_max_slots,
-    _level0_pulses,
     _SEED_CHUNK,
     _SLICE_DRAWS,
     _trial_states,
+    _TrialSampler,
     compare_analytic,
     derive_trial_seed,
     estimate,
@@ -138,16 +139,26 @@ def _assert_agree(direct, compound, links=1):
     pytest.param(P_L, 116, id="paper"),
 ])
 def test_level0_paths_agree_in_distribution(p_l, k):
-    # The same launch counts through both level-0 paths: one link per call
-    # is drawn pulse by pulse, 600 links per call from compound sums.  At
-    # p_l = 0.99 most links have no untied launch (B = 0); at the paper's
-    # p_l and about 1/p_0 = 116 launches, as at n = 4, most have no tie.
+    # The same launch counts through both level-0 paths: one link per
+    # request is drawn pulse by pulse, 600 links per request from compound
+    # sums.  At p_l = 0.99 most links have no untied launch (B = 0); at the
+    # paper's p_l and about 1/p_0 = 116 launches, as at n = 4, most have no
+    # tie.  p_l = 0.3 and the paper's p_l draw pulse waits by inverting
+    # exponentials, p_l = 0.99 with Generator.geometric.
     links = 600
     launches = np.full(links, k)
     assert 2 * k <= _SLICE_DRAWS < 2 * k * links
     rng = np.random.default_rng(8128)
-    direct = [_level0_pulses(rng, p_l, launches[:1], k) for _ in range(20_000)]
-    compound = [_level0_pulses(rng, p_l, launches, k * links) for _ in range(1500)]
+    sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
+
+    def request(launches):
+        """A request's link pulses and its preparation draws."""
+        before = sampler.prep_attempts
+        pulses = sampler._pulses([rng], [launches], [int(launches.sum())])
+        return pulses, sampler.prep_attempts - before
+
+    direct = [request(launches[:1]) for _ in range(20_000)]
+    compound = [request(launches) for _ in range(1500)]
     _assert_agree([pulses[0] for pulses, _ in direct], np.concatenate([pulses for pulses, _ in compound]))
     # Only a request's total prep attempts are returned.
     _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
@@ -172,7 +183,7 @@ def _untied_counts(p_l, k, links, calls, seed):
     """Untied launches of ``links * calls`` compound links of k launches."""
     assert 2 * k * links > _SLICE_DRAWS
     rng, launches = _NoMixing(seed), np.full(links, k)
-    return np.concatenate([_level0_pulses(rng, p_l, launches, k * links)[0] - k for _ in range(calls)])
+    return np.concatenate([_compound_pulses(rng, p_l, launches)[0] - k for _ in range(calls)])
 
 
 def test_compound_untied_count_is_binomial():
@@ -199,12 +210,13 @@ def test_n4_requests_draw_compound_sums(monkeypatch):
     # request needs more than _SLICE_DRAWS preparation draws and so is
     # drawn from compound sums, not pulse by pulse.
     draws = []
+    pulses = _TrialSampler._pulses
 
-    def spy(rng, p_l, launches, total, starts):
-        draws.append(2 * int(launches.sum()))
-        return _level0_pulses(rng, p_l, launches, total, starts)
+    def spy(self, rngs, launches, totals):
+        draws.extend(2 * t for t in totals)
+        return pulses(self, rngs, launches, totals)
 
-    monkeypatch.setattr(sim, "_level0_pulses", spy)
+    monkeypatch.setattr(_TrialSampler, "_pulses", spy)
     estimate(paper_defaults(), OFF, 300, 606)
     assert len(draws) >= 300
     assert np.mean(np.array(draws) <= _SLICE_DRAWS) < 0.02
@@ -255,16 +267,27 @@ def test_single_trial_estimate():
     assert res.p50 == trial.total_time
 
 
-@pytest.mark.parametrize("params, policy", [
-    (N0, OFF),
-    (N1, OFF),
-    (paper_defaults().with_overrides(L=1280.0, n=4), ON),
-], ids=["n0", "n1", "n4-swap-comm"])
-def test_estimate_replays_per_trial_seeds(params, policy):
-    # estimate derives its generator states in bulk; a replay of its
-    # trials through derive_trial_seed and simulate_trial, over more
-    # than one chunk of states, reproduces every output exactly.
-    trials = _SEED_CHUNK + 7
+@pytest.mark.parametrize("params, policy, trials, slice_links", [
+    (N0, OFF, _SEED_CHUNK + 7, None),
+    (N1, OFF, _SEED_CHUNK + 7, None),
+    (paper_defaults().with_overrides(L=1280.0, n=4), ON, _SEED_CHUNK + 7, None),
+    (paper_defaults().with_overrides(L=150.0, n=0), OFF, _SEED_CHUNK + 7, None),
+    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None),
+    (N1, OFF, 300, 8),
+    (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None),
+], ids=["n0", "n1", "n4-swap-comm", "n0-150km-mixed", "ideal-geometric", "n1-halved", "n6-split"])
+def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links):
+    # estimate derives its generator states in bulk and samples its trials
+    # in blocks; a replay of its trials one by one through
+    # derive_trial_seed and simulate_trial reproduces every output
+    # exactly.  The cases cover more than one chunk of states; blocks of
+    # 2 at n = 0 over 150 km, where about 5% of the requests are compound,
+    # so direct and compound requests mix in a block; p_l = p_swap = 1/2,
+    # drawn by Generator.geometric; lists halved by trials and then by
+    # links (2^3 links a request); and n = 6 over 1280 km, whose
+    # 50,000-link requests are halved.
+    if slice_links is not None:
+        monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
     res = estimate(params, policy, trials, 123)
     replay = [simulate_trial(params, policy, derive_trial_seed(123, i)) for i in range(trials)]
     times = np.array([t.total_time for t in replay])
@@ -274,6 +297,33 @@ def test_estimate_replays_per_trial_seeds(params, policy):
     assert res.prep_attempts == sum(t.counts.prep_attempts for t in replay)
     assert res.link_attempts == sum(t.counts.link_attempts for t in replay)
     assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in replay)))
+
+
+@pytest.mark.parametrize("p", [1e-13, P_L, rates.stage_probabilities(N1)[1], rates.stage_probabilities(N1)[2], 0.3333])
+def test_geometric_is_an_inverted_exponential(p):
+    # Below 1/3 numpy's Generator.geometric(p) is ceil(E / -log1p(-p)) for
+    # a standard exponential E, bit for bit, which lets the sampler draw a
+    # block's direct preparation waits as exponentials.
+    rows = np.empty((2, 50_000))
+    rng = np.random.default_rng(97)
+    rng.standard_exponential(out=rows[0])
+    rng.standard_exponential(out=rows[1])
+    waits = np.ceil(rows / -math.log1p(-p)).astype(np.int64)
+    assert np.array_equal(waits, np.random.default_rng(97).geometric(p, size=(2, 50_000)))
+
+
+@pytest.mark.parametrize("p_l", [1e-13, P_L, 0.3333, 1.0 / 3.0, 0.5, 1.0])
+def test_direct_waits_match_generator_geometric(p_l):
+    # A direct request's pulses are the per-link sums of the longer of two
+    # rows of Geom(p_l) waits, as Generator.geometric draws them; from
+    # p_l = 1/3 up, where numpy stops inverting, the sampler calls it.
+    launches = np.array([3, 1, 4, 1, 5])
+    sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
+    assert (sampler.scale == 0.0) == (p_l >= 1.0 / 3.0)
+    pulses = sampler._pulses([np.random.default_rng(5)], [launches], [int(launches.sum())])
+    waits = np.random.default_rng(5).geometric(p_l, size=(2, launches.sum()))
+    assert np.array_equal(pulses, np.add.reduceat(np.maximum(waits[0], waits[1]), launches.cumsum() - launches))
+    assert sampler.prep_attempts == waits.sum()
 
 
 @pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 12345, 2**200 + 7])
