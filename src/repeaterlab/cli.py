@@ -18,6 +18,8 @@ negative seed is a config error.
 Each subcommand imports the layer it runs inside its own function, so
 ``rates``, ``sweep`` and ``reproduce-paper`` load no numpy,
 ``simulate`` no ``optics``/``fock`` and ``bsm-verify`` no ``sim``.
+``simulate`` checks --trials, the seed and the sampling guards
+(``rates.sampling_probabilities``) before it imports numpy and ``sim``.
 """
 
 from __future__ import annotations
@@ -132,18 +134,23 @@ def cmd_rates(args, params: ProtocolParams) -> int:
 
 
 def cmd_simulate(args, params: ProtocolParams) -> int:
-    from . import sim
-
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
     seed = _default_seed(args)
+    # The sampler runs the same checks; here they refuse a run before numpy loads.
+    rates.sampling_probabilities(params)
+    import numpy
+
+    from . import sim
+
+    policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
     start = time.perf_counter()
     comparison = sim.compare_analytic(params, policy, args.trials, seed)
     est, elapsed = comparison.estimate, time.perf_counter() - start
     args.manifest = (f", {est.trials} trials, {elapsed / est.trials * 1e6:.1f} us per trial, "
                      f"{est.link_attempts / est.trials:.1f} link attempts and "
-                     f"{est.prep_attempts / est.trials:.1f} preparation draws per trial")
+                     f"{est.prep_attempts / est.trials:.1f} preparation draws per trial, "
+                     f"numpy {numpy.__version__}")
     _emit([{"seed": seed, **comparison.to_record()}], args.format, sys.stdout)
     return EXIT_OK
 

@@ -77,6 +77,43 @@ def stage_probabilities(params: ProtocolParams) -> tuple[float, float, float]:
     return pl, p0, psw
 
 
+# Expected preparation draws 2/(p_l p_0) of one elementary link above
+# which a Monte Carlo run is refused.  Below it a link's expected draws,
+# and so its Poisson means (launches/p_l, expected 1/(p_l p_0) at most),
+# stay below 2^46, and the int64 sums over a level-0 request of at most
+# ``sim._SLICE_LINKS`` = 2^16 links stay below 2^62 in expectation.
+_MAX_LINK_DRAWS = 2**46
+# Expected elementary links (2/p_swap)^n of one trial above which a run
+# is refused: about 5 s at about 0.3 us per link.
+_MAX_TRIAL_LINKS = 2**24
+
+
+def sampling_probabilities(params: ProtocolParams,
+                           stage_probs: tuple[float, float, float] | None = None) -> tuple[float, float, float]:
+    """(p_l, p_0, p_swap) of a Monte Carlo run: ``stage_probs`` if given
+    (ValueError unless each lies in (0, 1]), else
+    ``stage_probabilities(params)``.  GuardError if a link expects more
+    than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or a trial
+    more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n."""
+    if stage_probs is None:
+        p_l, p_0, p_sw = stage_probabilities(params)
+    else:
+        for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
+        p_l, p_0, p_sw = stage_probs
+    link_draws = 2.0 / p_l / p_0
+    if link_draws > _MAX_LINK_DRAWS:
+        raise GuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "
+                         f"expected preparation draws per link, above the sampling limit {_MAX_LINK_DRAWS:.3g}")
+    log2_links = params.n * math.log2(2.0 / p_sw) if params.n else 0.0
+    if log2_links > math.log2(_MAX_TRIAL_LINKS):
+        raise GuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
+                         f"2^{log2_links:.4g} expected elementary links per trial, "
+                         f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
+    return p_l, p_0, p_sw
+
+
 def t_total(params: ProtocolParams) -> RateReport:
     """Full analytic report; total time is (L_0/c + T_l) / (p_0 p_swap**n).
 

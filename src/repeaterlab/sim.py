@@ -45,11 +45,10 @@ trial is split as it would be alone.  The two constants fix the stream:
 n = 0 over 80 km and n = 1 over 160 km draw one by one, n = 4 over
 1280 km 99.5% compound.
 
-A trial is refused (SimulationGuardError) when one elementary link
-expects more than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or
-the chain more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n;
-``_TrialSampler`` runs these checks once per run.  ``estimate`` also
-refuses a trial count whose total-time array cannot be allocated.
+A run that cannot be sampled is refused by ``rates.sampling_probabilities``,
+the sampling guards' one numpy-free owner, which ``_TrialSampler`` calls
+once per run.  ``estimate`` also refuses a trial count whose total-time
+array cannot be allocated.
 
 ``exact_expected_time_small`` is the exact n <= 1 reference, under
 either policy: a closed form at n = 0, a characteristic-function
@@ -201,15 +200,6 @@ _SLICE_LINKS = 2**16
 # over 1280 km compound.  A block of trials expects at most this many
 # preparation draws, or holds one trial.
 _SLICE_DRAWS = 2**14
-# Expected preparation draws 2/(p_l p_0) of one elementary link above
-# which a trial is refused.  Below it a link's expected draws, and so its
-# Poisson means (launches/p_l, expected 1/(p_l p_0) at most), stay below
-# 2^46, and the int64 sums over a level-0 request of at most
-# _SLICE_LINKS links stay below 2^16 * 2^46 = 2^62 in expectation.
-_MAX_LINK_DRAWS = 2**46
-# Expected elementary links (2/p_swap)^n of one trial above which it is
-# refused: about 5 s at about 0.3 us per link.
-_MAX_TRIAL_LINKS = 2**24
 
 
 def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray) -> tuple[np.ndarray, int]:
@@ -237,27 +227,12 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
 class _TrialSampler:
     """Blocks of trials of one (params, policy, stage_probs) run, each
     trial on its own Generator, and the run's attempt totals (Python
-    ints, so exact); the stage probabilities are validated and both
-    guards run once, when the sampler is built."""
+    ints, so exact); ``rates.sampling_probabilities`` checks the stage
+    probabilities once, when the sampler is built."""
 
     def __init__(self, params: ProtocolParams, policy: SimPolicy,
                  stage_probs: tuple[float, float, float] | None = None):
-        if stage_probs is None:
-            p_l, p_0, p_sw = rates.stage_probabilities(params)
-        else:
-            for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
-                if not 0.0 < p <= 1.0:
-                    raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
-            p_l, p_0, p_sw = stage_probs
-        link_draws = 2.0 / p_l / p_0
-        if link_draws > _MAX_LINK_DRAWS:
-            raise SimulationGuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "
-                                       f"expected preparation draws per link, above the sampling limit {_MAX_LINK_DRAWS:.3g}")
-        log2_links = params.n * math.log2(2.0 / p_sw) if params.n else 0.0
-        if log2_links > math.log2(_MAX_TRIAL_LINKS):
-            raise SimulationGuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
-                                       f"2^{log2_links:.4g} expected elementary links per trial, "
-                                       f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
+        p_l, p_0, p_sw = rates.sampling_probabilities(params, stage_probs)
         self.n = params.n
         self.swap_comm_time = policy.swap_comm_time
         self.p_l, self.p_0, self.p_sw = p_l, p_0, p_sw
@@ -380,10 +355,8 @@ def simulate_trial(
     down the event accounting in tests: physical efficiencies cap each
     probability at 1/2, so e.g. the all-probabilities-1 case (one prep
     pulse, one flight per link, free swaps) is reachable only this way.
-    Raises SimulationGuardError if a stage probability is zero, one
-    elementary link expects more than ``_MAX_LINK_DRAWS`` preparation
-    draws, a trial more than ``_MAX_TRIAL_LINKS`` elementary links, or
-    the trial time is not a finite float.
+    Raises what ``rates.sampling_probabilities`` raises, and
+    SimulationGuardError if the trial time is not a finite float.
     """
     sampler = _TrialSampler(params, policy, stage_probs)
     # As in ``estimate``: an overflowing trial time is refused below.

@@ -138,8 +138,9 @@ def test_simulate_guard_exits_3(capsys):
     # small to sample; last, (2/p_swap)^40 ~ 2^104 elementary links.
     for argv in ((*FAST_SIM, "--eta-d", "0"), ("--n", "0"), ("--n", "1"), ("--eta-p", "1e-7"),
                  ("--n", "40", "--l-km", "80000", "--trials", "1")):
-        code, _, err = run_cli(capsys, "simulate", *argv)
+        code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 3
+        assert out == ""
         assert err.startswith("aborted:")
         assert "Traceback" not in err
 
@@ -423,8 +424,9 @@ def test_verbose_writes_to_stderr(capsys):
 
 
 def test_simulate_verbose_reports_per_trial_costs(capsys):
-    # The manifest adds the trial count, the time per trial and the link
-    # attempts and preparation draws per trial; stdout is unchanged.
+    # The manifest adds the trial count, the time per trial, the link
+    # attempts and preparation draws per trial and numpy's version;
+    # stdout is unchanged.
     _, plain, _ = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl")
     code, out, err = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl", "--verbose")
     assert code == 0
@@ -439,7 +441,8 @@ def test_simulate_verbose_reports_per_trial_costs(capsys):
     links, draws = fields[3].split(" link attempts and ")
     assert links == f"{rec['link_attempts'] / 400:.1f}"
     assert draws == f"{rec['prep_attempts'] / 400:.1f} preparation draws per trial"
-    assert fields[4].startswith("modules ") and "repeaterlab.sim" in fields[4].split()
+    assert fields[4] == f"numpy {np.__version__}"
+    assert fields[5].startswith("modules ") and "repeaterlab.sim" in fields[5].split()
 
 
 # Extremes that validate() accepts, per parameter kind.
@@ -496,15 +499,24 @@ def test_no_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["rates"], ["numpy"]),
-    (["sweep", "--param", "n", "--from", "1", "--to", "3"], ["numpy"]),
-    (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], ["numpy"]),
-    (["reproduce-paper"], ["numpy"]),
-    (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], ["repeaterlab.optics", "repeaterlab.fock"]),
-    (["bsm-verify", "--phases", "1"], ["repeaterlab.sim"]),
-], ids=["rates", "sweep-n", "sweep-steps", "reproduce-paper", "simulate", "bsm-verify"])
-def test_cli_process_loads_only_its_layer(argv, unused):
+_REFUSED = ["numpy", "repeaterlab.sim"]
+
+
+@pytest.mark.parametrize("argv, code, unused", [
+    (["rates"], 0, ["numpy"]),
+    (["sweep", "--param", "n", "--from", "1", "--to", "3"], 0, ["numpy"]),
+    (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], 0, ["numpy"]),
+    (["reproduce-paper"], 0, ["numpy"]),
+    (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], 0, ["repeaterlab.optics", "repeaterlab.fock"]),
+    (["bsm-verify", "--phases", "1"], 0, ["repeaterlab.sim"]),
+    # Refused before numpy loads: p_0 ~ 1.8e-26 at the default 1280 km, no
+    # trials, a negative seed.
+    (["simulate", "--n", "0"], 3, _REFUSED),
+    (["simulate", "--trials", "0"], 2, _REFUSED),
+    (["simulate", "--n", "0", "--l-km", "80", "--seed", "-1"], 2, _REFUSED),
+], ids=["rates", "sweep-n", "sweep-steps", "reproduce-paper", "simulate", "bsm-verify",
+        "simulate-unsampleable", "simulate-zero-trials", "simulate-negative-seed"])
+def test_cli_process_loads_only_its_layer(argv, code, unused):
     # A subcommand imports only the layer it runs; scipy, a test
     # dependency, is never loaded.
     src = str(Path(repeaterlab.__file__).resolve().parents[1])
@@ -512,10 +524,11 @@ def test_cli_process_loads_only_its_layer(argv, unused):
     script = (
         "import json, sys\n"
         "from repeaterlab.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     res = subprocess.run([sys.executable, "-c", script, *argv, "--format", "jsonl"],
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
-    loaded = json.loads(res.stdout.splitlines()[-1])
+    returned, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert returned == code
     assert [m for m in loaded if m.partition(".")[0] == "scipy" or m in unused] == []

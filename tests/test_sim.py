@@ -105,6 +105,23 @@ def test_zero_probability_guard():
         simulate_trial(N0, OFF, 3, stage_probs=(0.0, 0.5, 1.0))
 
 
+@pytest.mark.parametrize("params, stage_probs, error", [
+    pytest.param(N0.with_overrides(eta_d=0.0), None, SimulationGuardError, id="zero-stage"),
+    pytest.param(paper_defaults().with_overrides(n=0), None, SimulationGuardError, id="p0-too-small"),
+    pytest.param(N4.with_overrides(n=40, L=80000.0), None, SimulationGuardError, id="too-many-links"),
+    pytest.param(N0, (0.5, 1.5, 1.0), ValueError, id="stage-probs-outside"),
+])
+def test_sampling_guards_have_one_owner(params, stage_probs, error):
+    # The sampler refuses exactly what rates.sampling_probabilities
+    # refuses, with its type and message: the checks are not copied.
+    with pytest.raises(error) as owner:
+        rates.sampling_probabilities(params, stage_probs)
+    with pytest.raises(error) as sampler:
+        _TrialSampler(params, OFF, stage_probs)
+    assert type(sampler.value) is type(owner.value)
+    assert str(sampler.value) == str(owner.value)
+
+
 def test_single_link_draws_are_sliced():
     # 2/p_0 = 4e6 expected preparation draws on one elementary link (32 MB
     # as int64 if held at once) are drawn as the link's compound sums.
