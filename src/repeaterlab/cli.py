@@ -16,10 +16,12 @@ REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
 
 Each subcommand imports the layer it runs inside its own function, so
-``rates``, ``sweep`` and ``reproduce-paper`` load no numpy,
-``simulate`` no ``optics``/``fock`` and ``bsm-verify`` no ``sim``.
-``simulate`` checks --trials, the seed and the sampling guards
-(``rates.sampling_probabilities``) before it imports numpy and ``sim``.
+only ``simulate`` loads numpy: ``rates``, ``sweep`` and
+``reproduce-paper`` need ``rates`` alone, ``bsm-verify`` the plain-Python
+``fock``/``optics`` and no ``sim``, and ``simulate`` no
+``optics``/``fock``.  ``simulate`` checks --trials, the seed and the
+sampling guards (``rates.sampling_probabilities``) before it imports
+numpy and ``sim``.
 """
 
 from __future__ import annotations
@@ -228,19 +230,15 @@ MAX_PHASES = 64
 
 def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) -> list[dict]:
     """Run the optics invariant suite; one record per check."""
-    import numpy as np
-
     from . import optics
-    from .fock import dark_state_residual
+    from .fock import dark_state_residual, unitarity_defect
 
     def tol(default: float) -> float:
         return default if tolerance is None else tolerance
 
     checks = []
 
-    unit = optics.BSM_UNITARY
-    value = float(np.max(np.abs(unit.conj().T @ unit - np.eye(4))))
-    checks.append(("bsm_unitarity", value, tol(1e-10)))
+    checks.append(("bsm_unitarity", unitarity_defect(optics.BSM_UNITARY), tol(1e-10)))
 
     ideal = params.with_overrides(**dict.fromkeys(_PROBABILITY_FIELDS, 1.0))
     grid = [2.0 * math.pi * i / phases for i in range(phases)]
@@ -265,10 +263,9 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
     filtering = optics.filtering_accept_probabilities(params)
     checks.append(("filtering_max_accept", max(filtering.values()), tol(1e-12)))
 
-    rng = np.random.default_rng(819230475)
     worst = 0.0
-    for _ in range(5):
-        point = params.with_overrides(**{name: rng.uniform(0.3, 1.0) for name in _PROBABILITY_FIELDS})
+    for values in optics.FORMULA_CHECK_POINTS:
+        point = params.with_overrides(**dict(zip(_PROBABILITY_FIELDS, values)))
         trio = (
             (optics.local_entanglement_pipeline(point).accept_prob, rates.p_local(point)),
             (optics.link_pipeline(point).accept_prob, rates.p_link(point)),
@@ -278,12 +275,7 @@ def _bsm_checks(phases: int, tolerance: float | None, params: ProtocolParams) ->
         worst = max(worst, *(abs(a - b) / b if b else abs(a - b) for a, b in trio))
     checks.append(("engine_vs_formula_rel", worst, tol(1e-9)))
 
-    residual = 0.0
-    for _ in range(20):
-        g = rng.uniform(0.1, 5.0)
-        omega = rng.uniform(0.1, 5.0)
-        n_atoms = int(rng.integers(1, 4))
-        residual = max(residual, dark_state_residual(g, omega, n_atoms))
+    residual = max(dark_state_residual(*point) for point in optics.DARK_STATE_CHECK_POINTS)
     checks.append(("dark_state_residual", residual, tol(1e-12)))
 
     return [

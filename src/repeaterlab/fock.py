@@ -27,18 +27,20 @@ operations (``apply_linear_map``, ``tensor``, ``apply_loss`` and
 since each either checks the cutoff itself (``apply_linear_map``) or
 can only lower counts or drop modes; they only prune small amplitudes.
 An operation checks its arguments once per call, not once per branch.
+A linear map's matrix is checked once by ``checked_unitary`` and kept as
+immutable rows of Python complex numbers; the module needs only the
+standard library.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 AMPLITUDE_PRUNE = 1e-14
 WEIGHT_PRUNE = 1e-12
@@ -211,15 +213,32 @@ def _split(w: float, comps: dict):
             yield key, (p, {occ: b for occ, a in amps.items() if abs(b := a / nrm) >= AMPLITUDE_PRUNE})
 
 
-def checked_unitary(u, k: int) -> np.ndarray:
-    """``u`` as a complex array, refused unless it is k x k and unitary
-    within ``UNITARY_TOL``."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (k, k):
-        raise FockError(f"matrix shape {u.shape} does not match {k} modes")
-    if np.max(np.abs(u.conj().T @ u - np.eye(k))) > UNITARY_TOL:
+def unitarity_defect(u) -> float:
+    """max |U^dagger U - I| over the entries, for a square matrix ``u``
+    given as rows of complex numbers."""
+    cols = tuple(zip(*u))
+    return max(
+        abs(sum(a.conjugate() * b for a, b in zip(ci, cj)) - (i == j))
+        for i, ci in enumerate(cols)
+        for j, cj in enumerate(cols)
+    )
+
+
+def checked_unitary(u, k: int) -> tuple[tuple[complex, ...], ...]:
+    """``u`` (rows of numbers: nested lists or tuples, or a 2-D array)
+    as immutable rows of Python complex numbers, refused unless it is
+    k x k, finite and unitary within ``UNITARY_TOL``."""
+    try:
+        rows = tuple(tuple(complex(c) for c in row) for row in u)
+    except (TypeError, ValueError) as exc:
+        raise FockError(f"matrix must be rows of numbers: {exc}") from None
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise FockError(f"matrix is not {k} x {k}, the size for {k} modes")
+    if not all(cmath.isfinite(c) for row in rows for c in row):
+        raise FockError("matrix entries must be finite")
+    if not unitarity_defect(rows) <= UNITARY_TOL:
         raise FockError("matrix is not unitary within tolerance")
-    return u
+    return rows
 
 
 @dataclass(frozen=True)
@@ -279,7 +298,7 @@ class WeightedEnsemble:
         modes = list(modes)
         return self._map_checked(modes, checked_unitary(u, len(modes)))
 
-    def _map_checked(self, modes, u: np.ndarray) -> "WeightedEnsemble":
+    def _map_checked(self, modes, u) -> "WeightedEnsemble":
         """``apply_linear_map`` for a ``u`` that ``checked_unitary`` has
         passed; ``optics`` checks its analyzer matrix once, at import."""
         k = len(modes)
@@ -291,7 +310,7 @@ class WeightedEnsemble:
             raise FockError("mapped modes must be distinct")
         # Per input mode (column of u): the (registry index, coefficient)
         # pairs of the output modes it feeds, as Python complex numbers.
-        columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in u.T.tolist()]
+        columns = [[(j, c) for j, c in zip(idxs, col) if c != 0.0] for col in zip(*u)]
 
         mapped = []
         for w, amps in self.branches:
@@ -404,45 +423,37 @@ class WeightedEnsemble:
 # Dark-state check for the T -> S conversion Hamiltonian
 # ---------------------------------------------------------------------------
 
-_ATOM_LEVELS = ("g", "s", "t", "e")
 _PHOTON_CUTOFF = 2
 
 
-def _conversion_hamiltonian(g: float, omega: float, n_atoms: int) -> tuple[np.ndarray, dict]:
-    """Full many-body matrix of the conversion Hamiltonian (hbar = 1).
+def _conversion_hamiltonian_action(g: float, omega: float, state: dict) -> dict:
+    """H|state> for the conversion Hamiltonian (hbar = 1), states being
+    sparse ``{(config, photons): amplitude}`` maps.
 
-    H = g a sum_i |e><s|_i + Omega sum_i |e><t|_i + h.c. over n_atoms
-    four-level atoms and a quantized radiation mode (cutoff 2).
-    Returns the dense matrix and the index of each basis state
-    (config, photons).
+    H = g a sum_i |e><s|_i + Omega sum_i |e><t|_i + h.c. over four-level
+    atoms (levels "g", "s", "t", "e"; a config is one level per atom) and
+    a quantized radiation mode (cutoff 2).
     """
-    basis = [(cfg, ph) for cfg in product(_ATOM_LEVELS, repeat=n_atoms) for ph in range(_PHOTON_CUTOFF + 1)]
-    index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    h = np.zeros((dim, dim), dtype=float)
-
-    def add(dst, src, val):
-        h[index[dst], index[src]] += val
-
-    for cfg, ph in basis:
+    out: dict[tuple, float] = {}
+    for (cfg, ph), amp in state.items():
         for i, level in enumerate(cfg):
+            moves = []
             if level == "s" and ph >= 1:
                 # g a |e><s|: absorb a photon, s -> e
-                new_cfg = cfg[:i] + ("e",) + cfg[i + 1:]
-                add((new_cfg, ph - 1), (cfg, ph), g * math.sqrt(ph))
+                moves.append(("e", ph - 1, g * math.sqrt(ph)))
             if level == "e" and ph + 1 <= _PHOTON_CUTOFF:
                 # h.c.: emit a photon, e -> s
-                new_cfg = cfg[:i] + ("s",) + cfg[i + 1:]
-                add((new_cfg, ph + 1), (cfg, ph), g * math.sqrt(ph + 1))
+                moves.append(("s", ph + 1, g * math.sqrt(ph + 1)))
             if level == "t":
                 # Omega |e><t|: classical drive, t -> e
-                new_cfg = cfg[:i] + ("e",) + cfg[i + 1:]
-                add((new_cfg, ph), (cfg, ph), omega)
+                moves.append(("e", ph, omega))
             if level == "e":
                 # h.c.: e -> t
-                new_cfg = cfg[:i] + ("t",) + cfg[i + 1:]
-                add((new_cfg, ph), (cfg, ph), omega)
-    return h, index
+                moves.append(("t", ph, omega))
+            for new_level, new_ph, coeff in moves:
+                key = (cfg[:i] + (new_level,) + cfg[i + 1:], new_ph)
+                out[key] = out.get(key, 0.0) + coeff * amp
+    return out
 
 
 def dark_state_residual(g: float, omega: float, n_atoms: int) -> float:
@@ -457,29 +468,25 @@ def dark_state_residual(g: float, omega: float, n_atoms: int) -> float:
         raise ValueError(f"n_atoms must be in [1, 4], got {n_atoms}")
     if g == 0.0 and omega == 0.0:
         raise ValueError("(g, omega) must not both be zero")
-    h, index = _conversion_hamiltonian(g, omega, n_atoms)
-
     scale = math.hypot(g, omega)
     cos_t = omega / scale
     sin_t = g / scale
 
-    vec = np.zeros(len(index))
+    dark = {}
     ground = ("g",) * n_atoms
     for i in range(n_atoms):
-        s_cfg = ground[:i] + ("s",) + ground[i + 1:]
-        t_cfg = ground[:i] + ("t",) + ground[i + 1:]
-        vec[index[(s_cfg, 1)]] += cos_t / math.sqrt(n_atoms)
-        vec[index[(t_cfg, 0)]] += -sin_t / math.sqrt(n_atoms)
+        dark[(ground[:i] + ("s",) + ground[i + 1:], 1)] = cos_t / math.sqrt(n_atoms)
+        dark[(ground[:i] + ("t",) + ground[i + 1:], 0)] = -sin_t / math.sqrt(n_atoms)
 
-    residual = np.linalg.norm(h @ vec)
-    return float(residual / max(abs(g), abs(omega)))
+    residual = math.sqrt(sum(a * a for a in _conversion_hamiltonian_action(g, omega, dark).values()))
+    return residual / max(abs(g), abs(omega))
 
 
-def dark_sector_hamiltonian(g: float, omega: float) -> np.ndarray:
+def dark_sector_hamiltonian(g: float, omega: float) -> tuple[tuple[float, ...], ...]:
     """Single-excitation symmetric-sector block of the conversion
     Hamiltonian in the basis (S^dag|g>|1>, T^dag|g>|0>, E^dag|g>|0>)."""
-    return np.array([
-        [0.0, 0.0, g],
-        [0.0, 0.0, omega],
-        [g, omega, 0.0],
-    ])
+    return (
+        (0.0, 0.0, g),
+        (0.0, 0.0, omega),
+        (g, omega, 0.0),
+    )

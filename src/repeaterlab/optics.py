@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import ProtocolParams
 from .fock import (
     FockError,
@@ -91,14 +89,13 @@ BSM_INPUT_MODES = (
 # Columns: input modes (aH, aV, bH, bV); rows: detectors D1..D4.
 #   aH -> cH -> (D1 + D2)/sqrt2        aV -> dV -> (D3 - D4)/sqrt2
 #   bH -> dH -> (D3 + D4)/sqrt2        bV -> cV -> (D1 - D2)/sqrt2
-# Checked here, once; ``apply_bsm`` maps with it unchecked.
-BSM_UNITARY = checked_unitary(SQRT_HALF * np.array([
-    [1.0, 0.0, 0.0, 1.0],
-    [1.0, 0.0, 0.0, -1.0],
-    [0.0, 1.0, 1.0, 0.0],
-    [0.0, -1.0, 1.0, 0.0],
-], dtype=complex), len(BSM_INPUT_MODES))
-BSM_UNITARY.flags.writeable = False
+# Checked here, once, as immutable rows; ``apply_bsm`` maps with it unchecked.
+BSM_UNITARY = checked_unitary(tuple(tuple(SQRT_HALF * x for x in row) for row in (
+    (1.0, 0.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, -1.0),
+    (0.0, 1.0, 1.0, 0.0),
+    (0.0, -1.0, 1.0, 0.0),
+)), len(BSM_INPUT_MODES))
 
 
 def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcome]:
@@ -110,6 +107,42 @@ def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcom
     probabilities sum to 1.
     """
     return photons._map_checked(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
+
+
+# The check points of ``bsm-verify``, in the order
+# numpy.random.default_rng(819230475) drew them: five parameter points
+# (eta_p, eta_s, eta_e1, eta_e2, eta_d), each entry uniform(0.3, 1.0),
+# for the engine-vs-formula check; then twenty dark-state points (g,
+# Omega, n_atoms) as uniform(0.1, 5.0), uniform(0.1, 5.0), integers(1, 4).
+FORMULA_CHECK_POINTS = (
+    (0.5174398826378106, 0.9941315348110484, 0.36703857358642494, 0.5730002283313121, 0.3598229420469087),
+    (0.5140825803651127, 0.4510683835172944, 0.3822075850108379, 0.723626674943184, 0.6841545941459778),
+    (0.4272044092333366, 0.9236375318929178, 0.7952474741515085, 0.36742010962913346, 0.8094717327062906),
+    (0.8289986332868975, 0.8847950490902408, 0.35464204950895906, 0.3614158610762058, 0.32432982850959396),
+    (0.6804942523449024, 0.41929217782235745, 0.5496490646477802, 0.9009223316521486, 0.9715063010669744),
+)
+DARK_STATE_CHECK_POINTS = (
+    (0.21263385455729372, 3.7177532621060214, 1),
+    (2.8141585767659296, 1.9579980219941846, 1),
+    (2.3666567888449075, 0.5682706498656632, 1),
+    (1.529748976117522, 2.0590691135658172, 1),
+    (3.4824410501419774, 0.7707866928455046, 2),
+    (4.89226772498385, 0.6264065316632986, 1),
+    (2.477079335682072, 2.9522563587754362, 3),
+    (2.5803528064707155, 0.4191747620842943, 2),
+    (2.9121289807435913, 2.991020625092839, 1),
+    (2.0867957584896217, 0.7735153625164666, 2),
+    (3.7551137078296546, 1.7648521320248243, 3),
+    (0.1609844135251643, 0.7390074810815798, 2),
+    (0.42079442395537003, 4.262196097073977, 3),
+    (0.43126939255460117, 0.517069272138166, 1),
+    (1.4303802834570292, 1.0881812806255586, 1),
+    (3.292170031619702, 1.7959761855449417, 2),
+    (0.7676261615666573, 0.5578119007829401, 2),
+    (1.805211976256646, 0.17700074757346868, 2),
+    (1.096467884396038, 1.9759996238116293, 3),
+    (3.223200895692334, 1.3315328516005975, 1),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,25 @@ class EstimateResult:
         return rec
 
 
+def _percentiles(values: np.ndarray) -> list[float]:
+    """The 50th, 90th and 99th percentiles of ``values`` as
+    ``numpy.percentile`` gives them by its default linear method, in the
+    same arithmetic (its last-index case and its ``t >= 0.5`` branch of
+    the interpolation included), so the two agree bit for bit; the first
+    ``numpy.percentile`` call in a process imports ``numpy.ma``."""
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    out = []
+    for q in (0.5, 0.9, 0.99):
+        virtual = last * q
+        below = -1 if virtual >= last else math.floor(virtual)
+        above = -1 if virtual >= last else below + 1
+        a, b, t = float(ordered[below]), float(ordered[above]), virtual - below
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) -> EstimateResult:
     """Aggregate ``trials`` independent trials with substream seeding.
 
@@ -437,7 +456,7 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
             for rng, state in zip(rngs, states):
                 rng.bit_generator.state = state
             totals[start:start + len(rngs)] = sample(rngs)
-        p50, p90, p99 = np.percentile(totals, [50.0, 90.0, 99.0])
+        p50, p90, p99 = _percentiles(totals)
         mean = float(np.mean(totals))
         std_error = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     for name, value in (("mean", mean), ("standard error", std_error)):
@@ -447,9 +466,9 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
         trials=trials,
         mean=mean,
         std_error=std_error,
-        p50=float(p50),
-        p90=float(p90),
-        p99=float(p99),
+        p50=p50,
+        p90=p90,
+        p99=p99,
         prep_attempts=sample.prep_attempts,
         link_attempts=sample.link_attempts,
         swap_attempts=tuple(sample.swap_attempts),

@@ -507,8 +507,9 @@ _REFUSED = ["numpy", "repeaterlab.sim"]
     (["sweep", "--param", "n", "--from", "1", "--to", "3"], 0, ["numpy"]),
     (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], 0, ["numpy"]),
     (["reproduce-paper"], 0, ["numpy"]),
-    (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], 0, ["repeaterlab.optics", "repeaterlab.fock"]),
-    (["bsm-verify", "--phases", "1"], 0, ["repeaterlab.sim"]),
+    (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], 0,
+     ["repeaterlab.optics", "repeaterlab.fock", "numpy.ma"]),
+    (["bsm-verify", "--phases", "1"], 0, _REFUSED),
     # Refused before numpy loads: p_0 ~ 1.8e-26 at the default 1280 km, no
     # trials, a negative seed.
     (["simulate", "--n", "0"], 3, _REFUSED),
@@ -517,8 +518,8 @@ _REFUSED = ["numpy", "repeaterlab.sim"]
 ], ids=["rates", "sweep-n", "sweep-steps", "reproduce-paper", "simulate", "bsm-verify",
         "simulate-unsampleable", "simulate-zero-trials", "simulate-negative-seed"])
 def test_cli_process_loads_only_its_layer(argv, code, unused):
-    # A subcommand imports only the layer it runs; scipy, a test
-    # dependency, is never loaded.
+    # A subcommand imports only the layer it runs, so only simulate loads
+    # numpy (and not numpy.ma); scipy, a test dependency, is never loaded.
     src = str(Path(repeaterlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from repeaterlab import fock
 from repeaterlab.fock import (
     D_MAX,
     CutoffExceededError,
@@ -15,9 +16,12 @@ from repeaterlab.fock import (
     WEIGHT_PRUNE,
     RegistryMismatchError,
     WeightedEnsemble,
+    checked_unitary,
     dark_sector_hamiltonian,
     dark_state_residual,
+    unitarity_defect,
 )
+from repeaterlab.optics import DARK_STATE_CHECK_POINTS
 
 SQ2 = math.sqrt(2.0)
 
@@ -147,6 +151,38 @@ def test_non_unitary_rejected():
     ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
     with pytest.raises(FockError, match="unitary"):
         ens.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "numpy", "scipy"])
+def test_checked_unitary_returns_complex_rows(kind):
+    matrix = {
+        "list": [[0.0, 1.0], [1.0, 0.0]],
+        "tuple": ((SQ2 / 2, SQ2 / 2), (SQ2 / 2, -SQ2 / 2)),
+        "numpy": BS5050,
+        "scipy": unitary_group.rvs(2, random_state=4),
+    }[kind]
+    rows = checked_unitary(matrix, 2)
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    assert all(type(c) is complex for row in rows for c in row)
+    assert np.array_equal(np.array(rows), np.asarray(matrix, dtype=complex))
+    assert unitarity_defect(rows) == pytest.approx(
+        np.max(np.abs(np.array(rows).conj().T @ np.array(rows) - np.eye(2))), abs=1e-15)
+
+
+@pytest.mark.parametrize("matrix, match", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "2 x 2"),
+    (np.eye(3), "2 x 2"),
+    ([[1.0, 0.0], [0.0]], "2 x 2"),
+    ([1.0, 0.0], "rows of numbers"),
+    (np.array([1.0, 0.0]), "rows of numbers"),
+    ([[1.0, 0.0], [1.0, 1.0]], "unitary"),
+    ([[math.nan, 0.0], [0.0, 1.0]], "finite"),
+    ([[1e200, 1e200], [1e200, -1e200]], "unitary"),
+])
+def test_checked_unitary_refuses(matrix, match):
+    # Non-square, ragged, 1-D, non-unitary and non-finite input.
+    with pytest.raises(FockError, match=match):
+        checked_unitary(matrix, 2)
 
 
 def test_ensemble_modes_not_mixable():
@@ -351,6 +387,65 @@ def test_dark_state_explicit_oracle():
 def test_dark_sector_spectrum_contains_zero():
     eigs = np.linalg.eigvalsh(dark_sector_hamiltonian(0.8, 2.1))
     assert min(abs(e) for e in eigs) < 1e-12
+
+
+_ATOM_LEVELS = ("g", "s", "t", "e")
+
+
+def dense_conversion_hamiltonian(g, omega, n_atoms):
+    """Independent oracle: the full many-body matrix of the conversion
+    Hamiltonian (hbar = 1), H = g a sum_i |e><s|_i + Omega sum_i
+    |e><t|_i + h.c. over n_atoms four-level atoms and a radiation mode of
+    cutoff 2, and the index of each basis state (config, photons)."""
+    basis = [(cfg, ph) for cfg in product(_ATOM_LEVELS, repeat=n_atoms) for ph in range(3)]
+    index = {b: i for i, b in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for cfg, ph in basis:
+        for i, level in enumerate(cfg):
+            def to(new_level, new_ph, val):
+                h[index[(cfg[:i] + (new_level,) + cfg[i + 1:], new_ph)], index[(cfg, ph)]] += val
+            if level == "s" and ph >= 1:
+                to("e", ph - 1, g * math.sqrt(ph))      # absorb a photon
+            if level == "e" and ph + 1 <= 2:
+                to("s", ph + 1, g * math.sqrt(ph + 1))  # emit a photon
+            if level == "t":
+                to("e", ph, omega)                      # classical drive
+            if level == "e":
+                to("t", ph, omega)
+    return h, index
+
+
+def dense_dark_state_residual(g, omega, n_atoms):
+    h, index = dense_conversion_hamiltonian(g, omega, n_atoms)
+    scale = math.hypot(g, omega)
+    vec = np.zeros(len(index))
+    ground = ("g",) * n_atoms
+    for i in range(n_atoms):
+        vec[index[(ground[:i] + ("s",) + ground[i + 1:], 1)]] += omega / scale / math.sqrt(n_atoms)
+        vec[index[(ground[:i] + ("t",) + ground[i + 1:], 0)]] += -g / scale / math.sqrt(n_atoms)
+    return float(np.linalg.norm(h @ vec) / max(abs(g), abs(omega)))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_sparse_hamiltonian_action_matches_dense_matrix(n_atoms):
+    rng = np.random.default_rng(60 + n_atoms)
+    for _ in range(3):
+        g, omega = rng.uniform(0.1, 5.0, size=2)
+        h, index = dense_conversion_hamiltonian(g, omega, n_atoms)
+        vec = rng.normal(size=len(index))
+        out = fock._conversion_hamiltonian_action(g, omega, {b: vec[i] for b, i in index.items()})
+        sparse = np.zeros(len(index))
+        for b, amp in out.items():
+            sparse[index[b]] = amp
+        np.testing.assert_allclose(sparse, h @ vec, rtol=0.0, atol=1e-12)
+
+
+def test_dark_state_residual_matches_dense_at_check_points():
+    # The twenty points bsm-verify checks; the dense norm goes through
+    # BLAS, whose summation order may differ in the last bit.
+    for g, omega, n_atoms in DARK_STATE_CHECK_POINTS:
+        assert dark_state_residual(g, omega, n_atoms) == pytest.approx(
+            dense_dark_state_residual(g, omega, n_atoms), rel=0.0, abs=1e-16)
 
 
 def test_dark_state_random_pairs():

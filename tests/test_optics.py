@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from repeaterlab import fock, rates
-from repeaterlab.core import paper_defaults
+from repeaterlab.core import _PROBABILITY_FIELDS, paper_defaults
 from repeaterlab.fock import ModeId, ModeRegistry, PureState, WeightedEnsemble
 from repeaterlab.optics import (
     BSM_INPUT_MODES,
     BSM_UNITARY,
+    DARK_STATE_CHECK_POINTS,
+    FORMULA_CHECK_POINTS,
     BsmOutcome,
     OpticsError,
     apply_bsm,
@@ -187,8 +189,20 @@ def test_retrieve_error_paths(retrieve, species, site, match):
 # ---------------------------------------------------------------------------
 
 def test_network_unitary():
-    u = BSM_UNITARY
+    u = np.array(BSM_UNITARY)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
+
+
+def test_check_points_are_the_seeded_draws():
+    # bsm-verify's check points are the draws of its former generator, in
+    # its order: a uniform(0.3, 1.0) per probability field for each of
+    # five points, then twenty (uniform(0.1, 5.0), uniform(0.1, 5.0),
+    # integers(1, 4)) dark-state points.
+    rng = np.random.default_rng(819230475)
+    formula = tuple(tuple(rng.uniform(0.3, 1.0) for _ in _PROBABILITY_FIELDS) for _ in range(5))
+    dark = tuple((rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0), int(rng.integers(1, 4))) for _ in range(20))
+    assert FORMULA_CHECK_POINTS == formula
+    assert DARK_STATE_CHECK_POINTS == dark
 
 
 def test_bsm_phi_plus_coincidences():

@@ -14,6 +14,7 @@ from repeaterlab.sim import (
     SimulationGuardError,
     _compound_pulses,
     _expected_max_slots,
+    _percentiles,
     _SEED_CHUNK,
     _SLICE_DRAWS,
     _trial_states,
@@ -423,6 +424,22 @@ def test_estimate_percentiles_ordered():
     res = estimate(N0, OFF, 2000, 5)
     assert res.p50 <= res.p90 <= res.p99
     assert res.std_error > 0.0
+
+
+def test_percentiles_match_numpy_bit_for_bit():
+    # numpy's linear method in numpy's arithmetic: sizes 1 and 2 (the
+    # last-index case), tied values, the t >= 0.5 branch and values
+    # whose differences overflow.
+    rng = np.random.default_rng(8128)
+    arrays = [np.array(x) for x in ([2.5], [3.0, 1.0], [4.0, 4.0], [0.0, np.inf], [-1.5e308, 1.5e308],
+                                    [7.0, 7.0, 7.0, 1.0])]
+    for size in rng.integers(1, 3001, size=400):
+        arrays += [rng.exponential(size=size), rng.integers(0, 4, size=size).astype(float),
+                   rng.normal(size=size) * 1e300]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in arrays:
+            expected = [float(p).hex() for p in np.percentile(values, [50.0, 90.0, 99.0])]
+            assert [p.hex() for p in _percentiles(values)] == expected
 
 
 def test_std_error_shrinks_with_sqrt_trials():
