@@ -35,7 +35,8 @@ import sys
 import time
 
 from . import __version__, rates
-from .core import _CONFIG_KEYS, _PROBABILITY_FIELDS, ConfigError, ProtocolParams, load_config, paper_defaults, validate
+from .core import (_CONFIG_KEYS, _PROBABILITY_FIELDS, ConfigError, ProtocolParams, paper_defaults, parse_config,
+                   require_valid, validate)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,6 +45,7 @@ EXIT_GUARD = 3
 
 
 def _load_params(args) -> ProtocolParams:
+    """Config file (or paper defaults), then flag overrides, validated once."""
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -52,7 +54,7 @@ def _load_params(args) -> ProtocolParams:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
-        params = load_config(document)
+        params = parse_config(document)
     else:
         params = paper_defaults()
 
@@ -61,10 +63,7 @@ def _load_params(args) -> ProtocolParams:
         value = getattr(args, key)
         if value is not None:
             overrides[field] = value
-    params = params.with_overrides(**overrides)
-    result = validate(params)
-    if not result.ok:
-        raise ConfigError("invalid parameter values for: " + ", ".join(result.violations))
+    params = require_valid(params.with_overrides(**overrides))
     if args.verbose:
         print(f"parameters: {params}", file=sys.stderr)
     return params

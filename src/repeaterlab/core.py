@@ -2,8 +2,9 @@
 
 All other modules consume :class:`ProtocolParams` values.  Instances are
 plain frozen dataclasses and are *not* validated on construction, so that
-:func:`validate` can report every violated field of an arbitrary value;
-anything loaded through :func:`load_config` is validated before return.
+:func:`validate` can report every violated field of an arbitrary value.
+:func:`load_config` is :func:`parse_config` (keys and types) followed by
+:func:`require_valid` (ranges), which the CLI runs after its overrides.
 """
 
 from __future__ import annotations
@@ -136,16 +137,31 @@ def serialize(params: ProtocolParams) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def require_valid(params: ProtocolParams) -> ProtocolParams:
+    """``params`` itself, or a ``ConfigError`` naming every field that
+    ``validate`` refuses."""
+    result = validate(params)
+    if not result.ok:
+        raise ConfigError("invalid parameter values for: " + ", ".join(result.violations))
+    return params
+
+
 def load_config(document: str) -> ProtocolParams:
-    """Parse a flat JSON config document into validated parameters.
+    """Validated parameters from a config document (``parse_config``)."""
+    return require_valid(parse_config(document))
+
+
+def parse_config(document: str) -> ProtocolParams:
+    """Parse a flat JSON config document into parameters whose keys and
+    types are checked but whose ranges are not.
 
     Missing keys take the paper defaults; unknown keys are rejected.  An
     empty (or whitespace-only) document means "all defaults".
 
     Raises:
         ConfigError: on parse errors (with line context where the JSON
-            syntax is at fault), unknown keys, wrongly typed values, an
-            integer too large for a float, or validation failures.
+            syntax is at fault), unknown keys, wrongly typed values, or
+            an integer too large for a float.
     """
     text = document.strip()
     if not text:
@@ -178,8 +194,4 @@ def load_config(document: str) -> ProtocolParams:
             except OverflowError as exc:
                 raise ConfigError(f"config key {key!r} is an integer too large for a float") from exc
 
-    params = paper_defaults().with_overrides(**overrides)
-    result = validate(params)
-    if not result.ok:
-        raise ConfigError("invalid parameter values for: " + ", ".join(result.violations))
-    return params
+    return paper_defaults().with_overrides(**overrides)

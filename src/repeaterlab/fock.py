@@ -18,18 +18,19 @@ at most two photons per detection stage, and double clicks at one
 detector need occupation 2.
 
 An ensemble stores its one registry once and each branch as a weight
-and a plain ``{occupation vector: amplitude}`` map.  ``PureState`` is
-the boundary type: its constructor rejects an occupation vector of the
-wrong length or with an occupation outside [0, D_MAX], and a state
-enters the engine through ``WeightedEnsemble.from_pure``.  The ensemble
+and a plain ``{occupation vector: amplitude}`` map; a pure state is a
+one-branch ensemble.  A pure state enters the engine through
+``WeightedEnsemble.pure``, which rejects an occupation vector of the
+wrong length or with an occupation outside [0, D_MAX].  The ensemble
 operations (``apply_linear_map``, ``tensor``, ``apply_loss`` and
 ``measure``) build their branches as plain maps without that check,
 since each either checks the cutoff itself (``apply_linear_map``) or
 can only lower counts or drop modes; they only prune small amplitudes.
 An operation checks its arguments once per call, not once per branch.
-A linear map's matrix is checked once by ``checked_unitary`` and kept as
-immutable rows of Python complex numbers; the module needs only the
-standard library.
+A linear map's matrix is checked once, by ``checked_unitary``, which
+returns it as a ``Unitary`` (immutable rows of Python complex numbers);
+``apply_linear_map`` takes only that type, so no call checks a matrix
+again.  The module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ class ModeRegistry:
     def __contains__(self, mode: ModeId) -> bool:
         return mode in self._index
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModeRegistry) and self.modes == other.modes
-
     def __repr__(self) -> str:
         return "ModeRegistry(" + ", ".join(str(m) for m in self.modes) + ")"
 
@@ -126,54 +124,6 @@ class ModeRegistry:
             return self._index[mode]
         except KeyError:
             raise RegistryMismatchError(f"mode {mode} not in registry") from None
-
-
-class PureState:
-    """Sparse pure state: {occupation vector: amplitude} over a registry.
-
-    Amplitudes below ``AMPLITUDE_PRUNE`` are dropped on construction.
-    States are immutable; operations return new states.  Construction
-    does not normalize -- callers normalize where the contract needs it.
-    """
-
-    __slots__ = ("registry", "amps")
-
-    def __init__(self, registry: ModeRegistry, amps: dict):
-        self.registry = registry
-        clean: dict[tuple, complex] = {}
-        nmodes = len(registry)
-        for occ, amp in amps.items():
-            if len(occ) != nmodes:
-                raise FockError(f"occupation vector {occ} does not match registry size {nmodes}")
-            if any(o < 0 or o > D_MAX for o in occ):
-                raise CutoffExceededError(f"occupation {occ} outside [0, {D_MAX}]")
-            a = complex(amp)
-            if abs(a) >= AMPLITUDE_PRUNE:
-                clean[tuple(occ)] = a
-        self.amps = clean
-
-    @classmethod
-    def vacuum(cls, registry: ModeRegistry) -> "PureState":
-        """All-modes-empty state |0...0>."""
-        if len(registry) == 0:
-            raise FockError("vacuum needs a nonempty registry")
-        return cls(registry, {(0,) * len(registry): 1.0})
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def normalized(self) -> "PureState":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise FockError("cannot normalize the zero state")
-        return PureState(self.registry, {occ: a / nrm for occ, a in self.amps.items()})
-
-    def amplitude(self, occ) -> complex:
-        return self.amps.get(tuple(occ), 0.0 + 0.0j)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amps.items()))
-        return f"PureState({terms})"
 
 
 @lru_cache(maxsize=64)
@@ -224,10 +174,17 @@ def unitarity_defect(u) -> float:
     )
 
 
-def checked_unitary(u, k: int) -> tuple[tuple[complex, ...], ...]:
+class Unitary(tuple):
+    """Rows of Python complex numbers that ``checked_unitary`` passed;
+    the only matrix type ``WeightedEnsemble.apply_linear_map`` takes."""
+
+    __slots__ = ()
+
+
+def checked_unitary(u, k: int) -> Unitary:
     """``u`` (rows of numbers: nested lists or tuples, or a 2-D array)
-    as immutable rows of Python complex numbers, refused unless it is
-    k x k, finite and unitary within ``UNITARY_TOL``."""
+    as a ``Unitary``, refused unless it is k x k, finite and unitary
+    within ``UNITARY_TOL``."""
     try:
         rows = tuple(tuple(complex(c) for c in row) for row in u)
     except (TypeError, ValueError) as exc:
@@ -238,7 +195,7 @@ def checked_unitary(u, k: int) -> tuple[tuple[complex, ...], ...]:
         raise FockError("matrix entries must be finite")
     if not unitarity_defect(rows) <= UNITARY_TOL:
         raise FockError("matrix is not unitary within tolerance")
-    return rows
+    return Unitary(rows)
 
 
 @dataclass(frozen=True)
@@ -280,28 +237,41 @@ class WeightedEnsemble:
         self.branches = tuple((w / total, amps) for w, amps in grouped.values())
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "WeightedEnsemble":
-        return cls(state.registry, [(1.0, state.normalized().amps)])
+    def pure(cls, registry: ModeRegistry, amps: dict) -> "WeightedEnsemble":
+        """One-branch ensemble holding ``amps`` normalized, amplitudes below
+        ``AMPLITUDE_PRUNE`` dropped before and after; refuses an occupation
+        vector of the wrong length or outside [0, D_MAX], and the zero state."""
+        nmodes = len(registry)
+        clean: dict[tuple, complex] = {}
+        for occ, amp in amps.items():
+            if len(occ) != nmodes:
+                raise FockError(f"occupation vector {occ} does not match registry size {nmodes}")
+            if any(o < 0 or o > D_MAX for o in occ):
+                raise CutoffExceededError(f"occupation {occ} outside [0, {D_MAX}]")
+            clean[tuple(occ)] = complex(amp)
+        clean = _pruned(clean)
+        nrm = math.sqrt(sum(abs(a) ** 2 for a in clean.values()))
+        if nrm == 0.0:
+            raise FockError("cannot normalize the zero state")
+        return cls(registry, [(1.0, _pruned({occ: a / nrm for occ, a in clean.items()}))])
 
     @property
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def apply_linear_map(self, modes, u) -> "WeightedEnsemble":
+    def apply_linear_map(self, modes, u: Unitary) -> "WeightedEnsemble":
         """Substitute a_i^dagger -> sum_j U[j, i] a_j^dagger on the given
         modes of every branch.
 
-        ``u`` must be unitary within ``UNITARY_TOL``; only photonic modes
-        may be mixed.  Each branch keeps its weight, its norm and its
-        total photon number in the mapped modes.
+        ``u`` must be a ``Unitary`` from ``checked_unitary`` with one row
+        per mode; only photonic modes may be mixed.  Each branch keeps
+        its weight, its norm and its total photon number in the mapped
+        modes.
         """
-        modes = list(modes)
-        return self._map_checked(modes, checked_unitary(u, len(modes)))
-
-    def _map_checked(self, modes, u) -> "WeightedEnsemble":
-        """``apply_linear_map`` for a ``u`` that ``checked_unitary`` has
-        passed; ``optics`` checks its analyzer matrix once, at import."""
+        modes = tuple(modes)
         k = len(modes)
+        if not isinstance(u, Unitary) or len(u) != k:
+            raise FockError(f"a linear map on {k} modes needs a {k} x {k} matrix from checked_unitary")
         for m in modes:
             if m.kind == "ensemble":
                 raise FockError("linear maps act on photonic modes only")

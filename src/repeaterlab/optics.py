@@ -8,16 +8,18 @@ or D1&D4 / D2&D3 (cross class); the cross class needs a phase flip on
 one memory qubit's d arm, which is computed here from the engine rather
 than assumed.  The analyzer's input modes are the H/V polarizations of
 paths a and b (``BSM_INPUT_MODES``), and ``BSM_UNITARY`` is its composed
-mode map onto the detectors D1..D4.  ``apply_bsm`` is that map followed
-by one efficiency-eta_d measurement of the four detector modes; a
-detection pattern is its tuple of counts at D1..D4.  Dark counts are
-not modelled here: the rates layer charges them in closed form
-(``rates.delta_f``).
+mode map onto the detectors D1..D4, checked once, at import, into a
+``fock.Unitary``.  ``apply_bsm`` is that map followed by one
+efficiency-eta_d measurement of the four detector modes; a detection
+pattern is its tuple of counts at D1..D4.  Dark counts are not modelled
+here: the rates layer charges them in closed form (``rates.delta_f``).
 
-The three pipelines (local entanglement, elementary link, swap) compose
-the state constructors with loss channels and the analyzer, and report
-accept probability plus the corrected fidelity of the post-selected
-memory state.
+The three pipelines (local entanglement, elementary link, swap) build
+their states as ensembles -- the stored split photon from its phase, an
+ideal pair from its amplitude map (``pme_state``) -- compose them with
+loss channels and the analyzer, and report accept probability plus the
+corrected fidelity of the post-selected memory state to the maximally
+entangled state on that memory's registry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .fock import (
     MeasurementOutcome,
     ModeId,
     ModeRegistry,
-    PureState,
     WeightedEnsemble,
     checked_unitary,
 )
@@ -89,7 +90,7 @@ BSM_INPUT_MODES = (
 # Columns: input modes (aH, aV, bH, bV); rows: detectors D1..D4.
 #   aH -> cH -> (D1 + D2)/sqrt2        aV -> dV -> (D3 - D4)/sqrt2
 #   bH -> dH -> (D3 + D4)/sqrt2        bV -> cV -> (D1 - D2)/sqrt2
-# Checked here, once, as immutable rows; ``apply_bsm`` maps with it unchecked.
+# Checked here, once, as a ``fock.Unitary``, the type ``apply_linear_map`` takes.
 BSM_UNITARY = checked_unitary(tuple(tuple(SQRT_HALF * x for x in row) for row in (
     (1.0, 0.0, 0.0, 1.0),
     (1.0, 0.0, 0.0, -1.0),
@@ -106,7 +107,7 @@ def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcom
     conditional memory (photonic modes measured out); the outcome
     probabilities sum to 1.
     """
-    return photons._map_checked(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
+    return photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
 
 
 # The check points of ``bsm-verify``, in the order
@@ -149,47 +150,25 @@ DARK_STATE_CHECK_POINTS = (
 # Protocol state constructors
 # ---------------------------------------------------------------------------
 
-def input_photon_state(phi: float, site: str = "L") -> PureState:
-    """Split-photon input state (|0>_u|1>_d + e^{i phi} |1>_u|0>_d)/sqrt2
-    over the two path modes feeding one node's ensembles."""
-    registry = ModeRegistry((ModeId.photon(f"{site}.u_in"), ModeId.photon(f"{site}.d_in")))
-    return PureState(registry, {
-        (0, 1): SQRT_HALF,
-        (1, 0): SQRT_HALF * cmath.exp(1j * phi),
-    })
-
-
 def memory_registry(site: str, species: str = "T") -> ModeRegistry:
-    return ModeRegistry((
-        ModeId.ensemble(site, "u", species),
-        ModeId.ensemble(site, "d", species),
-    ))
+    return ModeRegistry(ModeId.ensemble(site, arm, species) for arm in ("u", "d"))
 
 
-def store_to_memory(photon: PureState, eta_p: float, eta_s: float, site: str = "L") -> WeightedEnsemble:
-    """Coherent absorption of the split photon into the two ensembles.
+def store_to_memory(phi: float, eta_p: float, eta_s: float, site: str = "L") -> WeightedEnsemble:
+    """Coherent absorption of the split photon (|0>_u|1>_d + e^{i phi}
+    |1>_u|0>_d)/sqrt2 into the two ensembles of ``site``.
 
     The one-photon component maps onto (T_u^dag + e^{i phi} T_d^dag)/sqrt2
     (the d-path amplitude feeds the u ensemble term and vice versa, which
     keeps the unknown channel phase on the d arm); imperfect emission and
     storage leave a vacuum branch of weight 1 - eta_p eta_s.
     """
-    if len(photon.registry) != 2:
-        raise OpticsError("input photon state must live on exactly two path modes")
-    amp_u = photon.amplitude((1, 0))
-    amp_d = photon.amplitude((0, 1))
-    residual = sum(abs(a) for occ, a in photon.amps.items() if occ not in ((1, 0), (0, 1)))
-    if residual > 1e-12:
-        raise OpticsError("input must be a one-photon two-path state")
+    # The split photon's path amplitudes over their norm, which rounds off 1.
+    amp_u, amp_d = SQRT_HALF * cmath.exp(1j * phi), complex(SQRT_HALF)
     nrm = math.hypot(abs(amp_u), abs(amp_d))
-    if abs(nrm - 1.0) > 1e-8:
-        raise OpticsError("input photon state must be normalized")
-
-    registry = memory_registry(site, "T")
-    stored = PureState(registry, {(1, 0): amp_d / nrm, (0, 1): amp_u / nrm})
+    stored = {(1, 0): amp_d / nrm, (0, 1): amp_u / nrm}
     weight = eta_p * eta_s
-    branches = [(1.0 - weight, PureState.vacuum(registry).amps), (weight, stored.amps)]
-    return WeightedEnsemble(registry, branches)
+    return WeightedEnsemble(memory_registry(site, "T"), [(1.0 - weight, {(0, 0): 1.0 + 0.0j}), (weight, stored)])
 
 
 def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], species: str) -> WeightedEnsemble:
@@ -243,15 +222,15 @@ def retrieve_s_to_photon(memory: WeightedEnsemble, eta_e2: float, site_paths: di
     return _convert(memory, eta_e2, site_paths, "S")
 
 
-def pme_state(registry: ModeRegistry, site_a: str, site_b: str) -> PureState:
-    """Polarization maximally entangled target
+def pme_state(registry: ModeRegistry, site_a: str, site_b: str) -> dict[tuple, complex]:
+    """Amplitude map of the polarization maximally entangled state
     (S_au^dag S_bu^dag + S_ad^dag S_bd^dag)|vac>/sqrt2 on the registry."""
     n = len(registry)
     occ_u, occ_d = [0] * n, [0] * n
     for occ, arm in ((occ_u, "u"), (occ_d, "d")):
         occ[registry.index(ModeId.ensemble(site_a, arm, "S"))] = 1
         occ[registry.index(ModeId.ensemble(site_b, arm, "S"))] = 1
-    return PureState(registry, {tuple(occ_u): SQRT_HALF, tuple(occ_d): SQRT_HALF})
+    return dict.fromkeys((tuple(occ_u), tuple(occ_d)), complex(SQRT_HALF))
 
 
 # ---------------------------------------------------------------------------
@@ -272,41 +251,37 @@ def _classify_phase(alpha: float) -> str:
 def corrected_fidelity(
     memory: WeightedEnsemble,
     outcome: BsmOutcome,
-    target: PureState,
+    site_a: str,
+    site_b: str,
 ) -> tuple[float, str]:
-    """Fidelity to ``target`` maximized over a free phase on one qubit's
-    d arm (which subsumes the discrete identity / Z-flip correction set),
-    and the label of the maximizing phase (``_classify_phase``).
+    """Fidelity to the maximally entangled state of ``site_a`` and
+    ``site_b`` (``pme_state`` on the memory's registry) maximized over a
+    free phase on ``site_a``'s d arm (which subsumes the discrete
+    identity / Z-flip correction set), and the label of the maximizing
+    phase (``_classify_phase``).
 
-    The phase acts on the registry's first d-arm ensemble mode.  For a
-    phase alpha there, F(alpha) = sum_b w_b |c0_b +
+    For a phase alpha there, F(alpha) = sum_b w_b |c0_b +
     e^{i alpha} c1_b|^2 with c_n the target overlap restricted to d-arm
     occupation n; the maximum and its maximizer are closed-form.
     """
     if outcome is BsmOutcome.REJECT:
         raise OpticsError("corrected_fidelity is undefined for rejected patterns")
-    if target.registry != memory.registry:
-        raise OpticsError("target registry differs from memory registry")
-    candidates = [m for m in memory.registry if m.kind == "ensemble" and m.tags[1] == "d"]
-    if not candidates:
-        raise OpticsError("memory registry has no d-arm ensemble mode")
-    d_idx = memory.registry.index(candidates[0])
+    target = pme_state(memory.registry, site_a, site_b)
+    d_idx = memory.registry.index(ModeId.ensemble(site_a, "d", "S"))
 
     base = 0.0
     z = 0.0 + 0.0j
     for w, amps in memory.branches:
         c0 = 0.0 + 0.0j
         c1 = 0.0 + 0.0j
-        for occ, t_amp in target.amps.items():
+        for occ, t_amp in target.items():
             m_amp = amps.get(occ)
             if m_amp is None:
                 continue
             if occ[d_idx] == 0:
                 c0 += t_amp.conjugate() * m_amp
-            elif occ[d_idx] == 1:
-                c1 += t_amp.conjugate() * m_amp
             else:
-                raise OpticsError("free-phase correction expects d-arm occupation <= 1 in the target")
+                c1 += t_amp.conjugate() * m_amp
         base += w * (abs(c0) ** 2 + abs(c1) ** 2)
         z += w * c1 * c0.conjugate()
 
@@ -352,7 +327,6 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
     scored against the maximally entangled state of ``site_a`` and
     ``site_b``."""
     results = apply_bsm(photons, eta_d)
-    target = pme_state(results[0].state.registry, site_a, site_b)
     accept_prob = 0.0
     fidelities = []
     reports = []
@@ -361,7 +335,7 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
         if outcome is BsmOutcome.REJECT:
             reports.append(PatternReport(res.outcome, res.probability, outcome, None, None))
             continue
-        fid, corr = corrected_fidelity(res.state, outcome, target)
+        fid, corr = corrected_fidelity(res.state, outcome, site_a, site_b)
         accept_prob += res.probability
         fidelities.append(fid)
         reports.append(PatternReport(res.outcome, res.probability, outcome, fid, corr))
@@ -376,12 +350,11 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
 def _inner_qubits_to_light(eta_e2: float, pair_a: tuple[str, str], pair_b: tuple[str, str]) -> WeightedEnsemble:
     """Two ideal pairs (outer, inner) and (inner, outer) with the inner
     qubits retrieved to light on paths a and b."""
-    ens_a, ens_b = (
-        WeightedEnsemble.from_pure(
-            pme_state(ModeRegistry(memory_registry(x, "S").modes + memory_registry(y, "S").modes), x, y)
-        )
-        for x, y in (pair_a, pair_b)
-    )
+    pairs = []
+    for x, y in (pair_a, pair_b):
+        registry = ModeRegistry(memory_registry(x, "S").modes + memory_registry(y, "S").modes)
+        pairs.append(WeightedEnsemble.pure(registry, pme_state(registry, x, y)))
+    ens_a, ens_b = pairs
     return retrieve_s_to_photon(ens_a.tensor(ens_b), eta_e2, {pair_a[1]: "a", pair_b[0]: "b"})
 
 
@@ -396,8 +369,8 @@ def local_entanglement_pipeline(
     anti-Stokes emission, and the Bell analyzer on the two photons.  The
     conditional memory is compared against the four-S-mode target state.
     """
-    mem_l = store_to_memory(input_photon_state(phi_l, "L"), params.eta_p, params.eta_s, "L")
-    mem_r = store_to_memory(input_photon_state(phi_r, "R"), params.eta_p, params.eta_s, "R")
+    mem_l = store_to_memory(phi_l, params.eta_p, params.eta_s, "L")
+    mem_r = store_to_memory(phi_r, params.eta_p, params.eta_s, "R")
     ens = retrieve_t_to_s(mem_l.tensor(mem_r), params.eta_e1, {"L": "a", "R": "b"})
     return _heralded_report(ens, params.eta_d, "L", "R")
 
@@ -436,7 +409,7 @@ def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
     }
     out = {}
     for name, occupation in components.items():
-        ens = WeightedEnsemble.from_pure(PureState(registry, {occupation: 1.0}))
+        ens = WeightedEnsemble.pure(registry, {occupation: 1.0})
         ens = retrieve_t_to_s(ens, params.eta_e1, {"L": "a", "R": "b"})
         results = apply_bsm(ens, params.eta_d)
         out[name] = sum(

@@ -96,10 +96,10 @@ def test_criterion_3_bsm_correctness():
             optics.ModeId.photon("a", "H"), optics.ModeId.photon("a", "V"),
             optics.ModeId.photon("b", "H"), optics.ModeId.photon("b", "V"),
         ))
-        state = optics.PureState(reg, {
+        state = optics.WeightedEnsemble.pure(reg, {
             (1, 0, 0, 1): 1 / math.sqrt(2), (0, 1, 1, 0): sign / math.sqrt(2),
         })
-        results = optics.apply_bsm(optics.WeightedEnsemble.from_pure(state), 1.0)
+        results = optics.apply_bsm(state, 1.0)
         psi_accept += sum(
             r.probability for r in results if optics.classify(r.outcome) is not BsmOutcome.REJECT
         )

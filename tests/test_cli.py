@@ -104,6 +104,19 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert parse_jsonl(out)[0]["t_total"] == pytest.approx(4.3795, abs=1e-3)
 
 
+def test_flag_overrides_invalid_config_value(tmp_path, capsys):
+    # A flag replaces the config file's value before the one validation,
+    # so an out-of-range value it overrides is never refused.
+    cfg = tmp_path / "params.json"
+    cfg.write_text('{"eta_d": 2}')
+    code, out, _ = run_cli(capsys, "rates", "--config", str(cfg), "--eta-d", "0.9", "--format", "jsonl")
+    assert code == 0
+    assert parse_jsonl(out)[0]["t_total"] == rates.t_total(paper_defaults()).t_total
+    code, _, err = run_cli(capsys, "rates", "--config", str(cfg))
+    assert code == 2
+    assert "invalid parameter values for: eta_d" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

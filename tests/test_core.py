@@ -12,6 +12,8 @@ from repeaterlab.core import (
     ProtocolParams,
     load_config,
     paper_defaults,
+    parse_config,
+    require_valid,
     serialize,
     validate,
 )
@@ -127,6 +129,19 @@ def test_non_integer_n_rejected():
 def test_invalid_value_rejected_with_field_name():
     with pytest.raises(ConfigError, match="eta_d"):
         load_config('{"eta_d": 1.5}')
+
+
+def test_parse_config_checks_keys_and_types_not_ranges():
+    # The range check is require_valid's, so that values can still be
+    # overridden after parsing.
+    params = parse_config('{"eta_d": 2, "n": -1}')
+    assert (params.eta_d, params.n) == (2.0, -1)
+    with pytest.raises(ConfigError, match="invalid parameter values for: eta_d, n"):
+        require_valid(params)
+    assert require_valid(params.with_overrides(eta_d=0.9, n=4)) == paper_defaults()
+    for document, match in (('{"eta_q": 1}', "eta_q"), ('{"n": 4.0}', "integer"), ('{"eta_d": "x"}', "number")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(document)
 
 
 def test_scientific_notation_accepted():

@@ -12,9 +12,9 @@ from repeaterlab.fock import (
     FockError,
     ModeId,
     ModeRegistry,
-    PureState,
     WEIGHT_PRUNE,
     RegistryMismatchError,
+    Unitary,
     WeightedEnsemble,
     checked_unitary,
     dark_sector_hamiltonian,
@@ -34,7 +34,18 @@ def random_state(registry, rng):
     amps = {}
     for occ in np.ndindex(*(D_MAX + 1,) * len(registry)):
         amps[tuple(int(o) for o in occ)] = complex(rng.normal(), rng.normal())
-    return PureState(registry, amps).normalized()
+    return WeightedEnsemble.pure(registry, amps)
+
+
+def amps_of(ens):
+    """The amplitude map of a one-branch ensemble."""
+    ((weight, amps),) = ens.branches
+    assert weight == 1.0
+    return amps
+
+
+def norm(amps):
+    return math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -42,24 +53,19 @@ def random_state(registry, rng):
 # ---------------------------------------------------------------------------
 
 def test_vacuum_is_all_zeros():
-    state = PureState.vacuum(two_modes())
-    assert state.amps == {(0, 0): 1.0 + 0.0j}
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    state = amps_of(WeightedEnsemble.pure(two_modes(), {(0, 0): 1}))
+    assert state == {(0, 0): 1.0 + 0.0j}
+    assert all(type(a) is complex for a in state.values())
 
 
 def test_vacuum_measures_zero_everywhere():
     reg = two_modes()
-    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
+    ens = WeightedEnsemble.pure(reg, {(0, 0): 1.0})
     for mode in reg:
         outcomes = ens.measure((mode,), 1.0)
         assert len(outcomes) == 1
         assert outcomes[0].outcome == (0,)
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
-
-
-def test_vacuum_needs_modes():
-    with pytest.raises(FockError):
-        PureState.vacuum(ModeRegistry(()))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +105,14 @@ def test_ensemble_needs_a_heavy_branch(branches):
 
 
 @pytest.mark.parametrize("amps", [{}, {(1, 0): 0.0}, {(1, 0): 1e-16}])
-def test_from_pure_refuses_zero_state(amps):
+def test_pure_refuses_zero_state(amps):
     with pytest.raises(FockError, match="zero state"):
-        WeightedEnsemble.from_pure(PureState(two_modes(), amps))
+        WeightedEnsemble.pure(two_modes(), amps)
+
+
+def test_pure_normalizes():
+    state = amps_of(WeightedEnsemble.pure(two_modes(), {(1, 0): 3.0, (0, 1): 4j, (1, 1): 1e-15}))
+    assert state == {(1, 0): 0.6 + 0.0j, (0, 1): 0.8j}
 
 
 # ---------------------------------------------------------------------------
@@ -112,30 +123,27 @@ BS5050 = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQ2
 
 
 def map_pure(state, modes, u):
-    """The mapped state of a one-branch ensemble holding ``state``."""
-    ((weight, out),) = WeightedEnsemble.from_pure(state).apply_linear_map(modes, u).branches
-    assert weight == 1.0
-    return PureState(state.registry, out)
+    """The amplitude map of the one-branch ensemble ``state`` mapped by
+    the checked ``u``."""
+    return amps_of(state.apply_linear_map(modes, checked_unitary(u, len(modes))))
 
 
 def test_balanced_splitter_on_single_photon():
     reg = two_modes()
-    state = PureState(reg, {(1, 0): 1.0})
-    out = map_pure(state, reg.modes, BS5050)
-    assert out.amplitude((1, 0)) == pytest.approx(1 / SQ2)
-    assert out.amplitude((0, 1)) == pytest.approx(1 / SQ2)
+    out = map_pure(WeightedEnsemble.pure(reg, {(1, 0): 1.0}), reg.modes, BS5050)
+    assert out[(1, 0)] == pytest.approx(1 / SQ2)
+    assert out[(0, 1)] == pytest.approx(1 / SQ2)
 
 
 def test_hong_ou_mandel_cancellation():
     # Hand expansion: a1+ a2+ -> (b1+ + b2+)(b1+ - b2+)/2 = (b1+^2 - b2+^2)/2,
     # giving (|20> - |02>)/sqrt2 and zero coincidence amplitude.
     reg = two_modes()
-    state = PureState(reg, {(1, 1): 1.0})
-    out = map_pure(state, reg.modes, BS5050)
-    assert out.amplitude((2, 0)) == pytest.approx(1 / SQ2)
-    assert out.amplitude((0, 2)) == pytest.approx(-1 / SQ2)
-    assert abs(out.amplitude((1, 1))) < 1e-14
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    out = map_pure(WeightedEnsemble.pure(reg, {(1, 1): 1.0}), reg.modes, BS5050)
+    assert out[(2, 0)] == pytest.approx(1 / SQ2)
+    assert out[(0, 2)] == pytest.approx(-1 / SQ2)
+    assert abs(out.get((1, 1), 0.0)) < 1e-14
+    assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_map_is_identity():
@@ -143,14 +151,32 @@ def test_identity_map_is_identity():
     reg = two_modes()
     state = random_state(reg, rng)
     out = map_pure(state, reg.modes, np.eye(2))
-    assert out.amps == pytest.approx(state.amps)
+    assert out == pytest.approx(amps_of(state))
 
 
 def test_non_unitary_rejected():
+    # A non-unitary matrix cannot become a Unitary, so it reaches no map.
     reg = two_modes()
-    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
-    with pytest.raises(FockError, match="unitary"):
-        ens.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
+    non_unitary = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(FockError, match="not unitary"):
+        checked_unitary(non_unitary, 2)
+    with pytest.raises(FockError, match="checked_unitary"):
+        WeightedEnsemble.pure(reg, {(1, 0): 1.0}).apply_linear_map(reg.modes, non_unitary)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(2),
+    [[1.0, 0.0], [0.0, 1.0]],
+    ((1.0, 0.0), (0.0, 1.0)),
+    checked_unitary(np.eye(3), 3),
+])
+def test_linear_map_takes_only_a_checked_matrix_of_its_size(matrix):
+    # A matrix reaches a map only through checked_unitary, at the size of
+    # the mapped modes.
+    reg = two_modes()
+    ens = WeightedEnsemble.pure(reg, {(1, 0): 1.0})
+    with pytest.raises(FockError, match="checked_unitary"):
+        ens.apply_linear_map(reg.modes, matrix)
 
 
 @pytest.mark.parametrize("kind", ["list", "tuple", "numpy", "scipy"])
@@ -162,7 +188,7 @@ def test_checked_unitary_returns_complex_rows(kind):
         "scipy": unitary_group.rvs(2, random_state=4),
     }[kind]
     rows = checked_unitary(matrix, 2)
-    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    assert isinstance(rows, Unitary) and all(isinstance(row, tuple) for row in rows)
     assert all(type(c) is complex for row in rows for c in row)
     assert np.array_equal(np.array(rows), np.asarray(matrix, dtype=complex))
     assert unitarity_defect(rows) == pytest.approx(
@@ -187,9 +213,9 @@ def test_checked_unitary_refuses(matrix, match):
 
 def test_ensemble_modes_not_mixable():
     reg = ModeRegistry((ModeId.ensemble("L", "u", "T"), ModeId.photon("a")))
-    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
+    ens = WeightedEnsemble.pure(reg, {(0, 0): 1.0})
     with pytest.raises(FockError, match="photonic"):
-        ens.apply_linear_map(reg.modes, np.eye(2))
+        ens.apply_linear_map(reg.modes, checked_unitary(np.eye(2), 2))
 
 
 def test_linear_map_acts_on_each_branch():
@@ -197,18 +223,18 @@ def test_linear_map_acts_on_each_branch():
     reg = two_modes()
     # At most one photon per mode keeps every output within the cutoff.
     first, second = (
-        PureState(reg, {occ: complex(rng.normal(), rng.normal()) for occ in ((1, 0), (0, 1), (1, 1))}).normalized()
+        amps_of(WeightedEnsemble.pure(reg, {occ: complex(rng.normal(), rng.normal()) for occ in ((1, 0), (0, 1), (1, 1))}))
         for _ in range(2)
     )
-    mixed = WeightedEnsemble(reg, [(0.25, first.amps), (0.75, second.amps)])
-    u = unitary_group.rvs(2, random_state=11)
+    mixed = WeightedEnsemble(reg, [(0.25, first), (0.75, second)])
+    u = checked_unitary(unitary_group.rvs(2, random_state=11), 2)
     mapped = mixed.apply_linear_map(reg.modes, u)
     assert len(mapped.branches) == 2
     for (w_in, s_in), (w_out, s_out) in zip(mixed.branches, mapped.branches):
         ((w_alone, s_alone),) = WeightedEnsemble(reg, [(1.0, s_in)]).apply_linear_map(reg.modes, u).branches
         assert w_out == w_in and w_alone == 1.0
         assert s_out == s_alone
-    with pytest.raises(FockError, match="unitary"):
+    with pytest.raises(FockError, match="checked_unitary"):
         mixed.apply_linear_map(reg.modes, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
@@ -221,11 +247,11 @@ def test_linear_map_preserves_norm_and_photon_number(seed):
     amps = {}
     for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]:
         amps[occ] = complex(rng.normal(), rng.normal())
-    state = PureState(reg, amps).normalized()
+    state = WeightedEnsemble.pure(reg, amps)
     out = map_pure(state, reg.modes, u)
-    assert out.norm() == pytest.approx(1.0, abs=1e-10)
-    total_in = sum(sum(occ) * abs(a) ** 2 for occ, a in state.amps.items())
-    total_out = sum(sum(occ) * abs(a) ** 2 for occ, a in out.amps.items())
+    assert norm(out) == pytest.approx(1.0, abs=1e-10)
+    total_in = sum(sum(occ) * abs(a) ** 2 for occ, a in amps_of(state).items())
+    total_out = sum(sum(occ) * abs(a) ** 2 for occ, a in out.items())
     assert total_out == pytest.approx(total_in, abs=1e-10)
 
 
@@ -236,7 +262,7 @@ def test_linear_map_preserves_norm_and_photon_number(seed):
 def test_loss_splits_single_photon():
     reg = two_modes()
     mode = reg.modes[0]
-    ens = WeightedEnsemble.from_pure(PureState(reg, {(1, 0): 1.0}))
+    ens = WeightedEnsemble.pure(reg, {(1, 0): 1.0})
     lossy = ens.apply_loss(mode, 0.3)
     weights = sorted((w, s) for w, s in lossy.branches)
     assert weights[0][0] == pytest.approx(0.3)
@@ -248,7 +274,7 @@ def test_loss_splits_single_photon():
 def test_loss_eta_one_is_identity():
     rng = np.random.default_rng(5)
     reg = two_modes()
-    ens = WeightedEnsemble.from_pure(random_state(reg, rng))
+    ens = random_state(reg, rng)
     out = ens.apply_loss(reg.modes[0], 1.0)
     assert out.branch_count == 1
     assert out.branches[0][1] == pytest.approx(ens.branches[0][1])
@@ -256,7 +282,7 @@ def test_loss_eta_one_is_identity():
 
 def test_loss_eta_zero_empties_mode():
     reg = two_modes()
-    ens = WeightedEnsemble.from_pure(PureState(reg, {(1, 0): 1.0}))
+    ens = WeightedEnsemble.pure(reg, {(1, 0): 1.0})
     out = ens.apply_loss(reg.modes[0], 0.0)
     assert out.branch_count == 1
     assert out.branches[0][1] == {(0, 0): pytest.approx(1.0)}
@@ -275,9 +301,8 @@ def test_loss_composition(seed):
     a = complex(rng.normal(), rng.normal())
     b = complex(rng.normal(), rng.normal())
     nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    state = PureState(reg, {(1, 0): a / nrm, (0, 1): b / nrm})
     e1, e2 = rng.uniform(0.1, 1.0, size=2)
-    ens = WeightedEnsemble.from_pure(state)
+    ens = WeightedEnsemble.pure(reg, {(1, 0): a / nrm, (0, 1): b / nrm})
     seq = ens.apply_loss(reg.modes[0], e1).apply_loss(reg.modes[0], e2)
     combined = ens.apply_loss(reg.modes[0], e1 * e2)
     for mode in reg:
@@ -291,7 +316,7 @@ def test_loss_composition(seed):
 def test_loss_weight_sum_and_no_gain():
     rng = np.random.default_rng(42)
     reg = two_modes()
-    ens = WeightedEnsemble.from_pure(random_state(reg, rng))
+    ens = random_state(reg, rng)
     out = ens.apply_loss(reg.modes[1], 0.37)
     assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-10)
     max_in = max(sum(occ) for _, s in ens.branches for occ in s)
@@ -305,16 +330,15 @@ def test_loss_weight_sum_and_no_gain():
 
 def test_measure_superposition():
     reg = two_modes()
-    state = PureState(reg, {(1, 0): 1 / SQ2, (0, 1): 1 / SQ2})
-    outcomes = _number_distribution(WeightedEnsemble.from_pure(state), reg.modes[0])
+    state = WeightedEnsemble.pure(reg, {(1, 0): 1 / SQ2, (0, 1): 1 / SQ2})
+    outcomes = _number_distribution(state, reg.modes[0])
     assert outcomes[1] == pytest.approx(0.5, abs=1e-12)
     assert outcomes[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_two_photon():
     reg = two_modes()
-    state = PureState(reg, {(2, 0): 1.0})
-    outcomes = WeightedEnsemble.from_pure(state).measure((reg.modes[0],), 1.0)
+    outcomes = WeightedEnsemble.pure(reg, {(2, 0): 1.0}).measure((reg.modes[0],), 1.0)
     assert len(outcomes) == 1
     assert outcomes[0].outcome == (2,)
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
@@ -326,14 +350,14 @@ def test_measure_two_photon():
 def test_measure_probabilities_sum_to_one(seed):
     rng = np.random.default_rng(200 + seed)
     reg = two_modes()
-    state = random_state(reg, rng)
-    ens = WeightedEnsemble.from_pure(state)
+    ens = random_state(reg, rng)
+    state = amps_of(ens)
     for mode in reg:
         dist = _number_distribution(ens, mode)
         # independent oracle: direct summation of |amplitude|^2 by occupation
         idx = reg.index(mode)
         expected = {}
-        for occ, amp in state.amps.items():
+        for occ, amp in state.items():
             expected[occ[idx]] = expected.get(occ[idx], 0.0) + abs(amp) ** 2
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
         for k, v in expected.items():
@@ -343,7 +367,7 @@ def test_measure_probabilities_sum_to_one(seed):
         joint = {mo.outcome: mo.probability for mo in ens.measure(reg.modes, eta)}
         # the same oracle, with each mode's binomial detection factor
         expected = {}
-        for occ, amp in state.amps.items():
+        for occ, amp in state.items():
             for ks in product(*(range(n + 1) for n in occ)):
                 factor = math.prod(math.comb(n, k) * eta**k * (1 - eta) ** (n - k) for n, k in zip(occ, ks))
                 expected[ks] = expected.get(ks, 0.0) + abs(amp) ** 2 * factor
@@ -357,8 +381,8 @@ def test_measure_outcome_rarer_than_prune_threshold():
     # The |1,0> term carries joint weight 1e-7 * 1e-6, below WEIGHT_PRUNE:
     # it is dropped instead of leaving an outcome without a state.
     reg = two_modes()
-    light = PureState(reg, {(0, 1): math.sqrt(1 - 1e-6), (1, 0): 1e-3})
-    ens = WeightedEnsemble(reg, [(1 - 1e-7, PureState.vacuum(reg).amps), (1e-7, light.amps)])
+    light = {(0, 1): math.sqrt(1 - 1e-6), (1, 0): 1e-3}
+    ens = WeightedEnsemble(reg, [(1 - 1e-7, {(0, 0): 1.0}), (1e-7, light)])
     outcomes = ens.measure((reg.modes[0],), 1.0)
     assert [mo.outcome for mo in outcomes] == [(0,)]
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
@@ -478,24 +502,24 @@ def test_duplicate_modes_rejected():
 def test_tensor_product():
     ra = ModeRegistry((ModeId.photon("a"),))
     rb = ModeRegistry((ModeId.photon("b"),))
-    ea = WeightedEnsemble.from_pure(PureState(ra, {(1,): 1.0}))
-    eb = WeightedEnsemble.from_pure(PureState(rb, {(0,): 1.0}))
+    ea = WeightedEnsemble.pure(ra, {(1,): 1.0})
+    eb = WeightedEnsemble.pure(rb, {(0,): 1.0})
     out = ea.tensor(eb)
     assert out.branches[0][1] == {(1, 0): pytest.approx(1.0)}
 
 
 def test_constructor_rejects_bad_occupations():
-    # The public constructor is where occupation vectors are checked;
-    # the engine's branches are plain maps that skip the check.
+    # WeightedEnsemble.pure is where occupation vectors are checked; the
+    # engine's branches are plain maps that skip the check.
     reg = two_modes()
-    with pytest.raises(FockError):
-        PureState(reg, {(0, 0, 0): 1})
+    with pytest.raises(FockError, match="registry size"):
+        WeightedEnsemble.pure(reg, {(0, 0, 0): 1})
     for occ in ((3, 0), (0, -1)):
         with pytest.raises(CutoffExceededError):
-            PureState(reg, {occ: 1})
+            WeightedEnsemble.pure(reg, {occ: 1})
 
 
 def test_amplitude_pruning():
     reg = two_modes()
-    state = PureState(reg, {(0, 0): 1.0, (1, 1): 1e-16})
-    assert (1, 1) not in state.amps
+    state = amps_of(WeightedEnsemble.pure(reg, {(0, 0): 1.0, (1, 1): 1e-16}))
+    assert (1, 1) not in state

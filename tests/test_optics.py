@@ -6,7 +6,7 @@ import pytest
 
 from repeaterlab import fock, rates
 from repeaterlab.core import _PROBABILITY_FIELDS, paper_defaults
-from repeaterlab.fock import ModeId, ModeRegistry, PureState, WeightedEnsemble
+from repeaterlab.fock import FockError, ModeId, ModeRegistry, WeightedEnsemble
 from repeaterlab.optics import (
     BSM_INPUT_MODES,
     BSM_UNITARY,
@@ -18,7 +18,6 @@ from repeaterlab.optics import (
     classify,
     corrected_fidelity,
     filtering_accept_probabilities,
-    input_photon_state,
     link_pipeline,
     local_entanglement_pipeline,
     memory_registry,
@@ -51,7 +50,7 @@ def bell_photons(kind):
         "psi+": {(1, 0, 0, 1): 1 / SQ2, (0, 1, 1, 0): 1 / SQ2},
         "psi-": {(1, 0, 0, 1): 1 / SQ2, (0, 1, 1, 0): -1 / SQ2},
     }
-    return WeightedEnsemble.from_pure(PureState(reg, states[kind]))
+    return WeightedEnsemble.pure(reg, states[kind])
 
 
 def pattern_probs(results):
@@ -66,27 +65,40 @@ def accept_probability(results):
 # input state and storage
 # ---------------------------------------------------------------------------
 
+def stored_photon(phi):
+    """The split-photon input (|0>_u|1>_d + e^{i phi}|1>_u|0>_d)/sqrt2 as
+    perfect storage maps it onto the (T_u, T_d) excitations: the d-path
+    amplitude onto T_u, the u-path amplitude onto T_d."""
+    ens = store_to_memory(phi, 1.0, 1.0, "L")
+    assert ens.registry.modes == memory_registry("L", "T").modes
+    ((w, state),) = ens.branches
+    assert w == 1.0
+    return state
+
+
 def test_input_state_symmetric():
-    state = input_photon_state(0.0)
-    assert state.amplitude((0, 1)) == pytest.approx(1 / SQ2)
-    assert state.amplitude((1, 0)) == pytest.approx(1 / SQ2)
+    state = stored_photon(0.0)
+    assert state[(1, 0)] == pytest.approx(1 / SQ2)
+    assert state[(0, 1)] == pytest.approx(1 / SQ2)
 
 
 def test_input_state_pi_phase():
-    state = input_photon_state(math.pi)
-    assert state.amplitude((0, 1)) == pytest.approx(1 / SQ2)
-    assert state.amplitude((1, 0)).real == pytest.approx(-1 / SQ2)
-    assert abs(state.amplitude((1, 0)).imag) < 1e-12
+    state = stored_photon(math.pi)
+    assert state[(1, 0)] == pytest.approx(1 / SQ2)
+    assert state[(0, 1)].real == pytest.approx(-1 / SQ2)
+    assert abs(state[(0, 1)].imag) < 1e-12
 
 
 @pytest.mark.parametrize("phi", [0.3, 1.9, 4.4, 6.0])
 def test_input_state_normalized(phi):
-    assert input_photon_state(phi).norm() == pytest.approx(1.0, abs=1e-12)
+    state = stored_photon(phi)
+    assert set(state) == {(1, 0), (0, 1)}
+    assert math.sqrt(sum(abs(a) ** 2 for a in state.values())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_store_perfect_gives_pure_mapped_state():
     phi = 0.77
-    ens = store_to_memory(input_photon_state(phi), 1.0, 1.0, "L")
+    ens = store_to_memory(phi, 1.0, 1.0, "L")
     assert ens.branch_count == 1
     w, state = ens.branches[0]
     assert w == pytest.approx(1.0)
@@ -96,22 +108,15 @@ def test_store_perfect_gives_pure_mapped_state():
 
 def test_store_vacuum_weight():
     # 1 - 0.9 * 0.9 = 0.19 by hand
-    ens = store_to_memory(input_photon_state(0.0), 0.9, 0.9, "L")
+    ens = store_to_memory(0.0, 0.9, 0.9, "L")
     vac = [w for w, s in ens.branches if s.get((0, 0), 0.0) != 0]
     assert vac[0] == pytest.approx(0.19, abs=1e-12)
 
 
 def test_store_dead_source_gives_vacuum():
-    ens = store_to_memory(input_photon_state(0.0), 0.0, 0.9, "L")
+    ens = store_to_memory(0.0, 0.0, 0.9, "L")
     assert ens.branch_count == 1
     assert ens.branches[0][1].get((0, 0), 0.0) == pytest.approx(1.0)
-
-
-def test_store_rejects_malformed_input():
-    reg = ModeRegistry((ModeId.photon("u"), ModeId.photon("d")))
-    two_photon = PureState(reg, {(1, 1): 1.0})
-    with pytest.raises(OpticsError):
-        store_to_memory(two_photon, 1.0, 1.0, "L")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +125,7 @@ def test_store_rejects_malformed_input():
 
 def test_retrieve_t_to_s_perfect_mode_map():
     phi = 1.23
-    ens = store_to_memory(input_photon_state(phi), 1.0, 1.0, "L")
+    ens = store_to_memory(phi, 1.0, 1.0, "L")
     out = retrieve_t_to_s(ens, 1.0, {"L": "a"})
     assert out.branch_count == 1
     state = out.branches[0][1]
@@ -130,7 +135,7 @@ def test_retrieve_t_to_s_perfect_mode_map():
 
 
 def test_retrieve_t_to_s_full_loss_keeps_memory():
-    ens = store_to_memory(input_photon_state(0.0), 1.0, 1.0, "L")
+    ens = store_to_memory(0.0, 1.0, 1.0, "L")
     out = retrieve_t_to_s(ens, 0.0, {"L": "a"})
     # photons all lost; each branch keeps its S excitation content
     for mode in (ModeId.photon("a", "H"), ModeId.photon("a", "V")):
@@ -153,7 +158,7 @@ def test_retrieve_acceptance_scales_as_eta_e1_squared():
 
 def test_retrieve_s_to_photon_pme_to_photons():
     reg = ModeRegistry(memory_registry("A", "S").modes + memory_registry("B", "S").modes)
-    ens = WeightedEnsemble.from_pure(pme_state(reg, "A", "B"))
+    ens = WeightedEnsemble.pure(reg, pme_state(reg, "A", "B"))
     out = retrieve_s_to_photon(ens, 1.0, {"A": "a", "B": "b"})
     assert out.branch_count == 1
     state = out.branches[0][1]
@@ -164,7 +169,7 @@ def test_retrieve_s_to_photon_pme_to_photons():
 
 def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
     reg = ModeRegistry(memory_registry("A", "S").modes + memory_registry("B", "S").modes)
-    ens = WeightedEnsemble.from_pure(pme_state(reg, "A", "B"))
+    ens = WeightedEnsemble.pure(reg, pme_state(reg, "A", "B"))
     out = retrieve_s_to_photon(ens, 0.0, {"A": "a", "B": "b"})
     assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-10)
     for w, s in out.branches:
@@ -180,7 +185,7 @@ def test_retrieve_s_to_photon_dead_gives_vacuum_photons():
 ])
 def test_retrieve_error_paths(retrieve, species, site, match):
     # Two excitations in the L u-arm mode, or a site the memory lacks.
-    memory = WeightedEnsemble.from_pure(PureState(memory_registry("L", species), {(2, 0): 1.0}))
+    memory = WeightedEnsemble.pure(memory_registry("L", species), {(2, 0): 1.0})
     with pytest.raises(OpticsError, match=match):
         retrieve(memory, 1.0, {site: "a"})
 
@@ -233,7 +238,7 @@ def test_bsm_psi_class_bunches(kind):
 
 def test_bsm_vacuum_input():
     reg = photon_registry()
-    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
+    ens = WeightedEnsemble.pure(reg, {(0, 0, 0, 0): 1.0})
     results = apply_bsm(ens, 1.0)
     assert pattern_probs(results) == {(0, 0, 0, 0): pytest.approx(1.0, abs=1e-12)}
 
@@ -244,17 +249,19 @@ def test_bsm_probabilities_sum_to_one_with_loss():
 
 
 def test_bsm_matrix_checked_once(monkeypatch):
-    # BSM_UNITARY passed fock.checked_unitary when optics was imported, so
-    # apply_bsm maps with it unchecked; a matrix given to
-    # apply_linear_map is still checked on every call.
+    # BSM_UNITARY passed fock.checked_unitary when optics was imported and
+    # is a fock.Unitary, so no map with it checks it again; a matrix that
+    # did not pass checked_unitary is refused.
     def refuse(u, k):
         raise AssertionError("matrix checked on a call")
 
     monkeypatch.setattr(fock, "checked_unitary", refuse)
     photons = bell_photons("phi+")
+    assert isinstance(BSM_UNITARY, fock.Unitary)
     assert sum(r.probability for r in apply_bsm(photons, 0.55)) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(AssertionError, match="checked on a call"):
-        photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY)
+    assert photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).branch_count == 1
+    with pytest.raises(FockError, match="checked_unitary"):
+        photons.apply_linear_map(BSM_INPUT_MODES, tuple(BSM_UNITARY))
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +288,35 @@ def test_classify(counts, expected):
 # corrected fidelity
 # ---------------------------------------------------------------------------
 
+def memory_pair_registry():
+    return ModeRegistry(memory_registry("L", "S").modes + memory_registry("R", "S").modes)
+
+
 def test_corrected_fidelity_rejects_reject():
-    reg = memory_registry("L", "S")
-    ens = WeightedEnsemble.from_pure(PureState.vacuum(reg))
+    reg = memory_pair_registry()
+    ens = WeightedEnsemble.pure(reg, {(0, 0, 0, 0): 1.0})
     with pytest.raises(OpticsError):
-        corrected_fidelity(ens, BsmOutcome.REJECT, PureState.vacuum(reg))
+        corrected_fidelity(ens, BsmOutcome.REJECT, "L", "R")
 
 
 def test_corrected_fidelity_orthogonal_target():
-    reg = ModeRegistry(memory_registry("L", "S").modes + memory_registry("R", "S").modes)
-    memory = WeightedEnsemble.from_pure(PureState(reg, {(1, 0, 0, 1): 1.0}))
-    target = pme_state(reg, "L", "R")
-    fid, _ = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, target)
+    memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 0, 1): 1.0})
+    fid, _ = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
     assert fid == pytest.approx(0.0, abs=1e-12)
 
 
 def test_corrected_fidelity_phase_and_flip():
-    reg = ModeRegistry(memory_registry("L", "S").modes + memory_registry("R", "S").modes)
-    target = pme_state(reg, "L", "R")
     for sign, expected_kind in ((1.0, "identity"), (-1.0, "z_flip")):
-        memory = WeightedEnsemble.from_pure(
-            PureState(reg, {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): sign / SQ2})
-        )
-        fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, target)
+        memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): sign / SQ2})
+        fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
         assert fid == pytest.approx(1.0, abs=1e-10)
         assert corr == expected_kind
 
 
 def test_corrected_fidelity_free_phase():
-    reg = ModeRegistry(memory_registry("L", "S").modes + memory_registry("R", "S").modes)
-    target = pme_state(reg, "L", "R")
     phase = cmath.exp(0.9j)
-    memory = WeightedEnsemble.from_pure(
-        PureState(reg, {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): phase / SQ2})
-    )
-    fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, target)
+    memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): phase / SQ2})
+    fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
     assert fid == pytest.approx(1.0, abs=1e-10)
     assert corr == f"phase({2 * math.pi - 0.9:.6f})"
 

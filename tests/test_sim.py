@@ -493,6 +493,28 @@ def test_link_attempts_match_inverse_probability():
     assert observed == pytest.approx(expected, rel=0.05)
 
 
+@pytest.mark.parametrize("n, seed", [(2, 2102), (3, 2103), (4, 2104), (5, 2105)])
+def test_attempt_counts_match_exact_means(n, seed):
+    # A level-L link takes Geom(p_swap) swap attempts, each on two fresh
+    # level-(L-1) links, so a trial expects (2/p_swap)^(n-L) level-L links
+    # and (2/p_swap)^(n-L)/p_swap level-L swap attempts; each of its
+    # (2/p_swap)^n elementary links takes Geom(p_0) launches, and each
+    # launch two Geom(p_l) preparations.  One seed per n, since a root
+    # seed's top-level draw is shared across n.
+    params = paper_defaults().with_overrides(L=1280.0, n=n)
+    p_l, p_0, p_sw = rates.stage_probabilities(params)
+    counts = [simulate_trial(params, OFF, derive_trial_seed(seed, i)).counts for i in range(400)]
+    links = (2.0 / p_sw) ** n
+    cases = [("prep", [c.prep_attempts for c in counts], links / p_0 * 2.0 / p_l),
+             ("link", [c.link_attempts for c in counts], links / p_0)]
+    cases += [(f"swap_l{lvl}", [c.swap_attempts[lvl - 1] for c in counts], (2.0 / p_sw) ** (n - lvl) / p_sw)
+              for lvl in range(1, n + 1)]
+    for name, values, exact in cases:
+        values = np.array(values, dtype=float)
+        z = (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(values.size))
+        assert abs(z) <= 4.0, (name, z)
+
+
 def test_monotone_degradation_paired_seeds():
     base = estimate(N0, OFF, 20_000, 29)
     worse = estimate(N0.with_overrides(eta_d=0.8), OFF, 20_000, 29)
