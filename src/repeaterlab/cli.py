@@ -21,7 +21,8 @@ only ``simulate`` loads numpy: ``rates``, ``sweep`` and
 ``fock``/``optics`` and no ``sim``, and ``simulate`` no
 ``optics``/``fock``.  ``simulate`` checks --trials, the seed and the
 sampling guards (``rates.sampling_probabilities``) before it imports
-numpy and ``sim``.
+numpy and ``sim``, and a ``simulate`` run that loads numpy sets
+OPENBLAS_NUM_THREADS to 1 unless it is set; no output depends on it.
 """
 
 from __future__ import annotations
@@ -140,15 +141,21 @@ def cmd_simulate(args, params: ProtocolParams) -> int:
     seed = _default_seed(args)
     # The sampler runs the same checks; here they refuse a run before numpy loads.
     rates.sampling_probabilities(params)
+    if "numpy" not in sys.modules:
+        # simulate makes no BLAS call, so an OpenBLAS worker thread would
+        # only slow numpy's import; a value the user exported wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    start = time.perf_counter()
     import numpy
 
     from . import sim
 
+    loaded = time.perf_counter()
     policy = sim.SimPolicy(swap_comm_time=(args.swap_comm == "on"))
-    start = time.perf_counter()
     comparison = sim.compare_analytic(params, policy, args.trials, seed)
-    est, elapsed = comparison.estimate, time.perf_counter() - start
-    args.manifest = (f", {est.trials} trials, {elapsed / est.trials * 1e6:.1f} us per trial, "
+    est, elapsed = comparison.estimate, time.perf_counter() - loaded
+    args.manifest = (f", seed {seed}, {est.trials} trials, {loaded - start:.6f} s loading numpy and sim, "
+                     f"{elapsed:.6f} s sampling, {elapsed / est.trials * 1e6:.1f} us per trial, "
                      f"{est.link_attempts / est.trials:.1f} link attempts and "
                      f"{est.prep_attempts / est.trials:.1f} preparation draws per trial, "
                      f"numpy {numpy.__version__}")

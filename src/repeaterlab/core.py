@@ -1,7 +1,7 @@
 """Protocol parameters, validation and config ingestion.
 
 All other modules consume :class:`ProtocolParams` values.  Instances are
-plain frozen dataclasses and are *not* validated on construction, so that
+named tuples and are *not* validated on construction, so that
 :func:`validate` can report every violated field of an arbitrary value.
 :func:`load_config` is :func:`parse_config` (keys and types) followed by
 :func:`require_valid` (ranges), which the CLI runs after its overrides.
@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Raised when a config document cannot be turned into parameters."""
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(NamedTuple):
     """Scalar hardware and architecture parameters of the repeater.
 
     Attributes:
@@ -54,7 +53,7 @@ class ProtocolParams:
         return math.ldexp(self.L, -self.n)
 
     def with_overrides(self, **kwargs) -> "ProtocolParams":
-        return replace(self, **kwargs)
+        return self._replace(**kwargs)
 
 
 def paper_defaults() -> ProtocolParams:
@@ -62,8 +61,7 @@ def paper_defaults() -> ProtocolParams:
     return ProtocolParams()
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """All derived analytic quantities for one parameter set.
 
     Probabilities are dimensionless, times in seconds, ``delta_f`` is the
@@ -80,11 +78,10 @@ class RateReport:
     delta_f: float
 
     def to_record(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of :func:`validate`; ``violations`` name offending fields."""
 
     violations: tuple[str, ...]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -198,8 +197,7 @@ def checked_unitary(u, k: int) -> Unitary:
     return Unitary(rows)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """One number-resolved outcome: the count at each measured mode, its
     probability and the conditional state."""
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import ProtocolParams
 from .fock import (
@@ -248,12 +248,7 @@ def _classify_phase(alpha: float) -> str:
     return f"phase({alpha % (2.0 * math.pi):.6f})"
 
 
-def corrected_fidelity(
-    memory: WeightedEnsemble,
-    outcome: BsmOutcome,
-    site_a: str,
-    site_b: str,
-) -> tuple[float, str]:
+def corrected_fidelity(memory: WeightedEnsemble, site_a: str, site_b: str) -> tuple[float, str]:
     """Fidelity to the maximally entangled state of ``site_a`` and
     ``site_b`` (``pme_state`` on the memory's registry) maximized over a
     free phase on ``site_a``'s d arm (which subsumes the discrete
@@ -264,8 +259,6 @@ def corrected_fidelity(
     e^{i alpha} c1_b|^2 with c_n the target overlap restricted to d-arm
     occupation n; the maximum and its maximizer are closed-form.
     """
-    if outcome is BsmOutcome.REJECT:
-        raise OpticsError("corrected_fidelity is undefined for rejected patterns")
     target = pme_state(memory.registry, site_a, site_b)
     d_idx = memory.registry.index(ModeId.ensemble(site_a, "d", "S"))
 
@@ -295,8 +288,7 @@ def corrected_fidelity(
 # Pipelines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(NamedTuple):
     """Per-pattern record inside a pipeline report."""
 
     counts: tuple[int, ...]
@@ -306,8 +298,7 @@ class PatternReport:
     correction: str | None
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Aggregate of one heralded stage.
 
     ``fidelity`` is the minimum corrected fidelity over accepting
@@ -335,7 +326,7 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
         if outcome is BsmOutcome.REJECT:
             reports.append(PatternReport(res.outcome, res.probability, outcome, None, None))
             continue
-        fid, corr = corrected_fidelity(res.state, outcome, site_a, site_b)
+        fid, corr = corrected_fidelity(res.state, site_a, site_b)
         accept_prob += res.probability
         fidelities.append(fid)
         reports.append(PatternReport(res.outcome, res.probability, outcome, fid, corr))

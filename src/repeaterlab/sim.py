@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,16 +72,14 @@ from .core import ProtocolParams
 SimulationGuardError = rates.GuardError
 
 
-@dataclass(frozen=True)
-class SimPolicy:
+class SimPolicy(NamedTuple):
     """Timing policy: ``swap_comm_time`` adds the per-attempt classical
     confirmation delay L_{i-1}/c at swap level i."""
 
     swap_comm_time: bool = False
 
 
-@dataclass(frozen=True)
-class StageCounts:
+class StageCounts(NamedTuple):
     """Attempt totals on the success path of a trial (or of a batch)."""
 
     prep_attempts: int
@@ -89,8 +87,7 @@ class StageCounts:
     swap_attempts: tuple[int, ...]  # per level 1..n
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """One end-to-end entanglement distribution."""
 
     total_time: float
@@ -368,8 +365,7 @@ def simulate_trial(
     return TrialResult(total_time=total_time, counts=counts)
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     """Aggregate over independent trials.
 
     The mean uses numpy's pairwise summation on the trial-indexed array,
@@ -476,8 +472,7 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     )
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Monte Carlo mean against the analytic total time."""
 
     analytic: float

@@ -437,8 +437,9 @@ def test_verbose_writes_to_stderr(capsys):
 
 
 def test_simulate_verbose_reports_per_trial_costs(capsys):
-    # The manifest adds the trial count, the time per trial, the link
-    # attempts and preparation draws per trial and numpy's version;
+    # The manifest adds the seed, the trial count, the time spent loading
+    # numpy and sim and the time spent sampling, the time per trial, the
+    # link attempts and preparation draws per trial and numpy's version;
     # stdout is unchanged.
     _, plain, _ = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl")
     code, out, err = run_cli(capsys, "simulate", *FAST_SIM, "--format", "jsonl", "--verbose")
@@ -448,14 +449,19 @@ def test_simulate_verbose_reports_per_trial_costs(capsys):
     manifest = err.splitlines()[-1]
     assert manifest.startswith(f"repeaterlab {repeaterlab.__version__} simulate: ")
     fields = manifest.split(", ")
-    assert fields[1] == "400 trials"
-    us = fields[2].removesuffix(" us per trial")
-    assert float(us) > 0.0
-    links, draws = fields[3].split(" link attempts and ")
+    wall = float(fields[0].rpartition(": ")[2].removesuffix(" s"))
+    assert fields[1] == "seed 7"
+    assert fields[2] == "400 trials"
+    loading = float(fields[3].removesuffix(" s loading numpy and sim"))
+    sampling = float(fields[4].removesuffix(" s sampling"))
+    assert 0.0 <= loading and 0.0 < sampling and loading + sampling <= wall
+    us = fields[5].removesuffix(" us per trial")
+    assert float(us) == pytest.approx(sampling / 400 * 1e6, abs=0.1)
+    links, draws = fields[6].split(" link attempts and ")
     assert links == f"{rec['link_attempts'] / 400:.1f}"
     assert draws == f"{rec['prep_attempts'] / 400:.1f} preparation draws per trial"
-    assert fields[4] == f"numpy {np.__version__}"
-    assert fields[5].startswith("modules ") and "repeaterlab.sim" in fields[5].split()
+    assert fields[7] == f"numpy {np.__version__}"
+    assert fields[8].startswith("modules ") and "repeaterlab.sim" in fields[8].split()
 
 
 # Extremes that validate() accepts, per parameter kind.
@@ -512,16 +518,22 @@ def test_no_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-_REFUSED = ["numpy", "repeaterlab.sim"]
+def _package_env(env):
+    """``env`` with this checkout's package first on PYTHONPATH."""
+    src = str(Path(repeaterlab.__file__).resolve().parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+_REFUSED = ["numpy", "repeaterlab.sim", "dataclasses"]
 
 
 @pytest.mark.parametrize("argv, code, unused", [
-    (["rates"], 0, ["numpy"]),
-    (["sweep", "--param", "n", "--from", "1", "--to", "3"], 0, ["numpy"]),
-    (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], 0, ["numpy"]),
-    (["reproduce-paper"], 0, ["numpy"]),
+    (["rates"], 0, ["numpy", "dataclasses"]),
+    (["sweep", "--param", "n", "--from", "1", "--to", "3"], 0, ["numpy", "dataclasses"]),
+    (["sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "5"], 0, ["numpy", "dataclasses"]),
+    (["reproduce-paper"], 0, ["numpy", "dataclasses"]),
     (["simulate", "--n", "0", "--l-km", "80", "--trials", "2"], 0,
-     ["repeaterlab.optics", "repeaterlab.fock", "numpy.ma"]),
+     ["repeaterlab.optics", "repeaterlab.fock", "numpy.ma", "dataclasses"]),
     (["bsm-verify", "--phases", "1"], 0, _REFUSED),
     # Refused before numpy loads: p_0 ~ 1.8e-26 at the default 1280 km, no
     # trials, a negative seed.
@@ -532,9 +544,8 @@ _REFUSED = ["numpy", "repeaterlab.sim"]
         "simulate-unsampleable", "simulate-zero-trials", "simulate-negative-seed"])
 def test_cli_process_loads_only_its_layer(argv, code, unused):
     # A subcommand imports only the layer it runs, so only simulate loads
-    # numpy (and not numpy.ma); scipy, a test dependency, is never loaded.
-    src = str(Path(repeaterlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # numpy (and not numpy.ma); scipy, a test dependency, and dataclasses
+    # are never loaded.
     script = (
         "import json, sys\n"
         "from repeaterlab.cli import main\n"
@@ -542,7 +553,53 @@ def test_cli_process_loads_only_its_layer(argv, code, unused):
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     res = subprocess.run([sys.executable, "-c", script, *argv, "--format", "jsonl"],
-                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+                         env=_package_env(os.environ), capture_output=True, text=True, check=True)
     returned, loaded = json.loads(res.stdout.splitlines()[-1])
     assert returned == code
     assert [m for m in loaded if m.partition(".")[0] == "scipy" or m in unused] == []
+
+
+def _fresh_cli(argv, env):
+    """``main(argv)`` in a fresh process under ``env``: its stdout, then
+    one JSON line with OPENBLAS_NUM_THREADS as main left it and, where
+    /proc/self/task exists and numpy reports OpenBLAS, the OS thread count."""
+    script = (
+        "import json, os, sys\n"
+        "from repeaterlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "blas = ''\n"
+        "if 'numpy' in sys.modules:\n"
+        "    config = getattr(sys.modules['numpy'].__config__, 'CONFIG', {})\n"
+        "    blas = config.get('Build Dependencies', {}).get('blas', {}).get('name', '')\n"
+        "threads = len(os.listdir('/proc/self/task')) if 'openblas' in blas and os.path.isdir('/proc/self/task') "
+        "else None\n"
+        "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *argv], env=_package_env(env), capture_output=True, text=True,
+                         check=True)
+    out, _, last = res.stdout.rstrip("\n").rpartition("\n")
+    code, variable, threads = json.loads(last)
+    assert code == 0
+    return out, variable, threads
+
+
+def test_simulate_runs_openblas_on_one_thread_unless_set():
+    # simulate makes no BLAS call: numpy's OpenBLAS gets one thread unless
+    # OPENBLAS_NUM_THREADS is exported, and the output does not depend on it.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    argv = ["simulate", "--n", "1", "--l-km", "160", "--trials", "50", "--seed", "5", "--format", "jsonl"]
+    out, variable, threads = _fresh_cli(argv, env)
+    assert variable == "1"
+    assert threads in (None, 1)
+    out_set, variable, _ = _fresh_cli(argv, {**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert variable == "2"
+    assert out_set == out and out.count("\n") == 0 and json.loads(out)["trials"] == 50
+    for other in (["rates"], ["bsm-verify", "--phases", "1"]):
+        assert _fresh_cli(other, env)[1] is None
+
+
+def test_importing_the_package_leaves_the_environment_unchanged():
+    script = ("import os\nbefore = dict(os.environ)\n"
+              "import repeaterlab.cli, repeaterlab.fock, repeaterlab.optics, repeaterlab.rates, repeaterlab.sim\n"
+              "assert dict(os.environ) == before\n")
+    subprocess.run([sys.executable, "-c", script], env=_package_env(os.environ), check=True)

@@ -292,23 +292,16 @@ def memory_pair_registry():
     return ModeRegistry(memory_registry("L", "S").modes + memory_registry("R", "S").modes)
 
 
-def test_corrected_fidelity_rejects_reject():
-    reg = memory_pair_registry()
-    ens = WeightedEnsemble.pure(reg, {(0, 0, 0, 0): 1.0})
-    with pytest.raises(OpticsError):
-        corrected_fidelity(ens, BsmOutcome.REJECT, "L", "R")
-
-
 def test_corrected_fidelity_orthogonal_target():
     memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 0, 1): 1.0})
-    fid, _ = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
+    fid, _ = corrected_fidelity(memory, "L", "R")
     assert fid == pytest.approx(0.0, abs=1e-12)
 
 
 def test_corrected_fidelity_phase_and_flip():
     for sign, expected_kind in ((1.0, "identity"), (-1.0, "z_flip")):
         memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): sign / SQ2})
-        fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
+        fid, corr = corrected_fidelity(memory, "L", "R")
         assert fid == pytest.approx(1.0, abs=1e-10)
         assert corr == expected_kind
 
@@ -316,7 +309,7 @@ def test_corrected_fidelity_phase_and_flip():
 def test_corrected_fidelity_free_phase():
     phase = cmath.exp(0.9j)
     memory = WeightedEnsemble.pure(memory_pair_registry(), {(1, 0, 1, 0): 1 / SQ2, (0, 1, 0, 1): phase / SQ2})
-    fid, corr = corrected_fidelity(memory, BsmOutcome.ACCEPT_SAME, "L", "R")
+    fid, corr = corrected_fidelity(memory, "L", "R")
     assert fid == pytest.approx(1.0, abs=1e-10)
     assert corr == f"phase({2 * math.pi - 0.9:.6f})"
 
