@@ -23,12 +23,17 @@ only ``simulate`` loads numpy: ``rates``, ``sweep`` and
 sampling guards (``rates.sampling_probabilities``) before it imports
 numpy and ``sim``, and a ``simulate`` run that loads numpy sets
 OPENBLAS_NUM_THREADS to 1 unless it is set; no output depends on it.
+
+``main`` builds its parser once per process (``build_parser`` is
+cached), so repeated in-process calls, as from tests or a notebook, pay
+for the five subparsers once; a fresh process builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -346,7 +351,11 @@ def cmd_reproduce_paper(args, params: ProtocolParams) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing leaves it unchanged, and each ``parse_args`` call returns
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="repeaterlab",
         description="Quantum-repeater protocol laboratory: analytic rates, "

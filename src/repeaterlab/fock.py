@@ -31,6 +31,14 @@ A linear map's matrix is checked once, by ``checked_unitary``, which
 returns it as a ``Unitary`` (immutable rows of Python complex numbers);
 ``apply_linear_map`` takes only that type, so no call checks a matrix
 again.  The module needs only the standard library.
+
+Every ensemble is built by the ``WeightedEnsemble`` constructor, which
+merges exactly identical branches, so ``apply_linear_map``, ``tensor``,
+``apply_loss`` and ``measure`` all merge: a loss split or a measurement
+can produce identical components, and a unitary or a product can round
+two branches that differ in their last bits (loss branches reached
+along different paths) into identical ones.  The merge is skipped only
+when a single branch remains, where there is nothing to merge.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ class ModeId(NamedTuple):
     tags: tuple
 
     @classmethod
+    @lru_cache(maxsize=128)
     def ensemble(cls, site: str, arm: str, species: str) -> "ModeId":
         if arm not in ("u", "d"):
             raise FockError(f"ensemble arm must be 'u' or 'd', got {arm!r}")
@@ -213,26 +222,28 @@ class WeightedEnsemble:
     from occupation vector to amplitude over ``registry``.  Weights are
     renormalized to sum 1 on construction; branches of weight at most
     ``WEIGHT_PRUNE`` are dropped and exactly identical branches are
-    merged.
+    merged (with one branch left, there is nothing to merge).
     """
 
     __slots__ = ("registry", "branches")
 
     def __init__(self, registry: ModeRegistry, branches):
-        grouped: dict[frozenset, list] = {}
-        for w, amps in branches:
-            if w > WEIGHT_PRUNE:
+        heavy = [(float(w), amps) for w, amps in branches if w > WEIGHT_PRUNE]
+        if not heavy:
+            raise FockError("ensemble needs at least one branch with positive weight")
+        if len(heavy) > 1:
+            grouped: dict[frozenset, list] = {}
+            for w, amps in heavy:
                 key = frozenset(amps.items())
                 entry = grouped.get(key)
                 if entry is None:
-                    grouped[key] = [float(w), amps]
+                    grouped[key] = [w, amps]
                 else:
-                    entry[0] += float(w)
-        if not grouped:
-            raise FockError("ensemble needs at least one branch with positive weight")
-        total = sum(w for w, _ in grouped.values())
+                    entry[0] += w
+            heavy = grouped.values()
+        total = sum(w for w, _ in heavy)
         self.registry = registry
-        self.branches = tuple((w / total, amps) for w, amps in grouped.values())
+        self.branches = tuple((w / total, amps) for w, amps in heavy)
 
     @classmethod
     def pure(cls, registry: ModeRegistry, amps: dict) -> "WeightedEnsemble":

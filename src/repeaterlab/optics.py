@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import ProtocolParams
@@ -150,7 +151,10 @@ DARK_STATE_CHECK_POINTS = (
 # Protocol state constructors
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def memory_registry(site: str, species: str = "T") -> ModeRegistry:
+    """The u and d ensemble modes of ``site``; one shared registry per
+    (site, species), as a registry is never changed after it is built."""
     return ModeRegistry(ModeId.ensemble(site, arm, species) for arm in ("u", "d"))
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import repeaterlab
 from repeaterlab import rates
-from repeaterlab.cli import _linspace, main
+from repeaterlab.cli import _linspace, build_parser, main
 from repeaterlab.core import paper_defaults
 
 FAST_SIM = ["--l-km", "80", "--n", "0", "--trials", "400", "--seed", "7"]
@@ -504,6 +505,61 @@ def test_analytic_commands_never_crash(command, values, fmt):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+# In-process calls covering every subcommand: a seeded simulate before an
+# unseeded one, a verbose simulate before a verbose rates, and a config
+# error (exit 2) and an argparse error (SystemExit 2) each before a good call.
+_PARSER_SEQUENCE = (
+    ("simulate", "--n", "0", "--l-km", "80", "--trials", "50", "--seed", "5", "--format", "jsonl"),
+    ("simulate", "--n", "0", "--l-km", "80", "--trials", "50", "--format", "jsonl"),
+    ("simulate", "--n", "1", "--l-km", "160", "--trials", "20", "--verbose"),
+    ("rates", "--verbose"),
+    ("rates", "--eta-d", "1.5"),
+    ("rates", "--format", "csv"),
+    ("sweep", "--param", "n", "--from", "1", "--to", "4", "--bogus"),
+    ("sweep", "--param", "n", "--from", "1", "--to", "4"),
+    ("sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "3", "--format", "jsonl"),
+    ("reproduce-paper", "--format", "csv"),
+    ("bsm-verify", "--phases", "2", "--format", "jsonl"),
+    ("bsm-verify", "--phases", "1", "--tolerance", "0"),
+)
+
+
+def _call_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call, with
+    the wall times of the verbose manifest masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), re.sub(r"\d+\.\d+ (s|us)\b", r"<t> \1", err.getvalue())
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    monkeypatch.delenv("REPEATERLAB_SEED", raising=False)
+    # Every layer is loaded first, so that the module lists of the verbose
+    # manifests agree between the two passes.
+    from repeaterlab import optics, sim  # noqa: F401
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    reused = [_call_main(argv) for argv in _PARSER_SEQUENCE]
+    fresh = []
+    for argv in _PARSER_SEQUENCE:
+        build_parser.cache_clear()
+        fresh.append(_call_main(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 1]
+    # The unseeded simulate uses the default seed 0, not the previous call's 5.
+    assert reused[0][1] != reused[1][1]
+    assert reused[1][1] == _call_main(_PARSER_SEQUENCE[1][:-2] + ("--seed", "0", "--format", "jsonl"))[1]
+    # The verbose rates manifest carries none of the verbose simulate's fields.
+    sim_manifest, rates_manifest = (reused[i][2].splitlines()[-1] for i in (2, 3))
+    assert "seed 0" in sim_manifest and "trials" in sim_manifest
+    assert rates_manifest.startswith(f"repeaterlab {repeaterlab.__version__} rates: <t> s, modules ")
+    assert "seed" not in rates_manifest and "trials" not in rates_manifest
 
 
 def test_usage_error_exits_2():

@@ -115,6 +115,69 @@ def test_pure_normalizes():
     assert state == {(1, 0): 0.6 + 0.0j, (0, 1): 0.8j}
 
 
+def test_one_branch_is_kept_as_given():
+    # With one heavy branch there is nothing to merge: its map is kept as
+    # the same object, at weight exactly 1.
+    amps = {(1, 0): 0.6 + 0.0j, (0, 1): 0.8j}
+    ens = WeightedEnsemble(two_modes(), [(0.3, amps), (WEIGHT_PRUNE, ONE_B)])
+    assert ens.branches == ((1.0, amps),)
+    assert ens.branches[0][1] is amps
+
+
+def random_ensemble(registry, rng, branches):
+    """An ensemble of ``branches`` distinct random branches, each over
+    the occupation vectors with at most two photons in total."""
+    occs = [occ for occ in product(range(D_MAX + 1), repeat=len(registry)) if sum(occ) <= 2]
+    parts = []
+    for _ in range(branches):
+        amps = {occ: complex(rng.normal(), rng.normal()) for occ in occs}
+        nrm = norm(amps)
+        parts.append((rng.uniform(0.1, 1.0), {occ: a / nrm for occ, a in amps.items()}))
+    ens = WeightedEnsemble(registry, parts)
+    assert ens.branch_count == branches
+    return ens
+
+
+def assert_merged(ens):
+    """Rebuilding ``ens`` through the merging constructor merges nothing:
+    the same branch maps, bit for bit and in order, at the same weights
+    (renormalized once more, so equal to rounding)."""
+    rebuilt = WeightedEnsemble(ens.registry, ens.branches)
+    assert rebuilt.branch_count == ens.branch_count
+    for (w1, amps1), (w2, amps2) in zip(ens.branches, rebuilt.branches):
+        assert list(amps1.items()) == list(amps2.items())
+        assert w2 == pytest.approx(w1, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_linear_map_and_tensor_results_are_merged(seed):
+    rng = np.random.default_rng(seed)
+    reg = ModeRegistry((ModeId.photon("a"), ModeId.photon("b"), ModeId.photon("c")))
+    ens = random_ensemble(reg, rng, 4)
+    mapped = ens.apply_linear_map(reg.modes, checked_unitary(unitary_group.rvs(3, random_state=seed), 3))
+    assert mapped.branch_count == 4
+    assert_merged(mapped)
+    other = random_ensemble(ModeRegistry((ModeId.photon("d"),)), rng, 3)
+    for product_ in (ens.tensor(other), other.tensor(ens)):
+        assert product_.branch_count == 12
+        assert_merged(product_)
+
+
+def test_rounding_can_make_mapped_or_product_branches_identical():
+    # Two branches one ulp apart, as loss channels reached along different
+    # paths leave them, become identical after a balanced splitter or a
+    # product with an equal superposition, and are merged.
+    reg = ModeRegistry((ModeId.photon("a"), ModeId.photon("b"), ModeId.photon("c")))
+    amp = 0.7071067811865478
+    ens = WeightedEnsemble(reg, [(0.5, {(1, 0, 0): complex(a), (0, 0, 1): complex(1 / SQ2)})
+                                 for a in (amp, math.nextafter(amp, 0.0))])
+    assert ens.branch_count == 2
+    splitter = checked_unitary([[1 / SQ2, 1 / SQ2], [1 / SQ2, -1 / SQ2]], 2)
+    assert ens.apply_linear_map(reg.modes[:2], splitter).branch_count == 1
+    plus = WeightedEnsemble.pure(ModeRegistry((ModeId.photon("d"), ModeId.photon("e"))), {(1, 0): 1, (0, 1): 1})
+    assert ens.tensor(plus).branch_count == plus.tensor(ens).branch_count == 1
+
+
 # ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------

@@ -119,6 +119,24 @@ def test_store_dead_source_gives_vacuum():
     assert ens.branches[0][1].get((0, 0), 0.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("params", [paper_defaults(), IDEAL], ids=["paper", "ideal"])
+def test_store_and_retrieve_results_are_merged(params):
+    # Rebuilding through the merging constructor merges nothing: the same
+    # branch maps, bit for bit and in order, at the same weights.
+    def assert_merged(ens):
+        rebuilt = WeightedEnsemble(ens.registry, ens.branches)
+        assert rebuilt.branch_count == ens.branch_count
+        for (w1, amps1), (w2, amps2) in zip(ens.branches, rebuilt.branches):
+            assert list(amps1.items()) == list(amps2.items())
+            assert w2 == pytest.approx(w1, rel=1e-15, abs=0.0)
+
+    mem_l = store_to_memory(0.4, params.eta_p, params.eta_s, "L")
+    mem_r = store_to_memory(2.9, params.eta_p, params.eta_s, "R")
+    assert mem_l.branch_count == (1 if params is IDEAL else 2)
+    for ens in (mem_l, mem_r, retrieve_t_to_s(mem_l.tensor(mem_r), params.eta_e1, {"L": "a", "R": "b"})):
+        assert_merged(ens)
+
+
 # ---------------------------------------------------------------------------
 # retrieval stages
 # ---------------------------------------------------------------------------
