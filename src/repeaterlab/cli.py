@@ -8,10 +8,11 @@ values round-trip, JSONL emits one record per line.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
 guard (a zero-probability stage or local rate r p_l, a time, rate or
 bound that is not a finite float, a link success probability too
-small to sample, a --trials count, --steps count or integer sweep
-grid whose array cannot be allocated, or a bsm-verify --phases above
-MAX_PHASES).  Flag overrides take precedence
-over the config file, which takes precedence over the paper defaults.
+small to sample, a --trials count whose array cannot be allocated, a
+sweep grid, by --steps or integer, of more than MAX_SWEEP_POINTS
+points, or a bsm-verify --phases above MAX_PHASES).  Flag overrides
+take precedence over the config file, which takes precedence over the
+paper defaults.
 REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
 
@@ -27,6 +28,9 @@ OPENBLAS_NUM_THREADS to 1 unless it is set; no output depends on it.
 ``main`` builds its parser once per process (``build_parser`` is
 cached), so repeated in-process calls, as from tests or a notebook, pay
 for the five subparsers once; a fresh process builds it once either way.
+A ``repeaterlab`` process enters through ``run``, which turns the cyclic
+garbage collector off around its one ``main`` call; ``main`` itself
+leaves the collector as it finds it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -168,14 +173,16 @@ def cmd_simulate(args, params: ProtocolParams) -> int:
     return EXIT_OK
 
 
+# Upper bound on a sweep's grid points: each point keeps a record of
+# about 570 bytes until the grid is printed.
+MAX_SWEEP_POINTS = 100_000
+
+
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
     """The ``steps`` points of ``numpy.linspace(start, stop, steps)``,
     computed in the same order (its branch for a step that underflows to
     zero included), so they agree bit for bit."""
-    try:
-        values = [start] * steps
-    except (MemoryError, OverflowError) as exc:
-        raise rates.GuardError(f"--steps {steps} asks for {steps} grid points, more than can be allocated") from exc
+    values = [start] * steps
     if steps > 1:
         span, div = stop - start, steps - 1
         step = span / div
@@ -205,27 +212,24 @@ def cmd_sweep(args, params: ProtocolParams) -> int:
         return value, point
 
     # Each parameter's valid values form an interval, so checking the
-    # grid's ends refuses an invalid grid before it is built.
+    # grid's ends refuses an invalid grid before it is built; then the
+    # point count is capped.
     if args.steps is not None:
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-        for value in (args.start, args.stop)[:args.steps]:
-            sweep_point(value)
-        values = _linspace(args.start, args.stop, args.steps)
+        count, request, ends = args.steps, f"--steps {args.steps}", (args.start, args.stop)
     else:
         lo, hi = math.ceil(args.start), math.floor(args.stop)
-        for value in (lo, hi)[:max(0, hi - lo + 1)]:
-            sweep_point(value)
-        try:
-            values = list(range(lo, hi + 1))
-        except (MemoryError, OverflowError) as exc:
-            raise rates.GuardError(f"--from {args.start} --to {args.stop} asks for {hi - lo + 1} integer grid points, "
-                                   "more than can be allocated") from exc
-    if not values:
+        count, request, ends = max(0, hi - lo + 1), f"--from {args.start} --to {args.stop}", (lo, hi)
+    for value in ends[:count]:
+        sweep_point(value)
+    if not count:
         raise ConfigError(f"empty sweep grid [{args.start}, {args.stop}]")
+    if count > MAX_SWEEP_POINTS:
+        raise rates.GuardError(f"{request} asks for {count} grid points, more than the {MAX_SWEEP_POINTS} allowed")
 
     records = []
-    for value in values:
+    for value in _linspace(args.start, args.stop, count) if args.steps is not None else range(lo, hi + 1):
         value, point = sweep_point(value)
         records.append({key: value, **rates.t_total(point).to_record()})
     best = min(range(len(records)), key=lambda i: records[i]["t_total"])
@@ -422,5 +426,19 @@ def main(argv=None) -> int:
                   f"{getattr(args, 'manifest', '')}, modules {' '.join(loaded)}", file=sys.stderr)
 
 
+def run() -> None:
+    """Entry point of a ``repeaterlab`` process: ``main`` with the cyclic
+    garbage collector off, then every object frozen, so that neither
+    numpy's import nor the collection at interpreter exit walks the heap.
+    A warm ``main`` call leaves no cyclic garbage, and a process makes one
+    call, so no memory is held back.  Exits with ``main``'s code."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -112,6 +112,17 @@ _WORD = 0xFFFFFFFF
 _SEED_CHUNK = 1024
 
 
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """Seeds the Generators that ``estimate`` loads a state into before
+    any draw, without the ``SeedSequence`` hashing that state overwrites."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
 def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     """``SeedSequence(entropy).generate_state(n_words, np.uint32)`` for
     many sequences at once: ``entropy`` holds the 32-bit entropy words,
@@ -443,7 +454,7 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     # Trial i's state, loaded into its block's Generator before the block runs.
     states = (state for start in range(0, trials, _SEED_CHUNK)
               for state in _trial_states(seed, start, min(start + _SEED_CHUNK, trials)))
-    pool = [np.random.Generator(np.random.PCG64(0)) for _ in range(min(sample.block, trials))]
+    pool = [np.random.Generator(np.random.PCG64(_ZERO_SEED)) for _ in range(min(sample.block, trials))]
     # Trial times near the float range overflow in the sampler, their sum
     # or their sum of squares; the check below refuses such a run.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repeaterlab
-from repeaterlab import rates
+from repeaterlab import cli, rates
 from repeaterlab.cli import _linspace, build_parser, main
 from repeaterlab.core import paper_defaults
 
@@ -264,6 +265,32 @@ def test_sweep_grid_matches_numpy_linspace():
     for start, stop, steps in grids:
         expected = [float(v).hex() for v in np.linspace(start, stop, steps)]
         assert [v.hex() for v in _linspace(start, stop, steps)] == expected, (start, stop, steps)
+
+
+def test_sweep_grid_is_capped_in_both_modes(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+    steps = ("--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps")
+    integers = ("--param", "n", "--from", "1", "--to")
+    for grid in (steps, integers):
+        code, out, err = run_cli(capsys, "sweep", *grid, "5", "--format", "jsonl")
+        assert (code, err) == (0, "")
+        assert len(parse_jsonl(out)) == 5
+        code, out, err = run_cli(capsys, "sweep", *grid, "6", "--format", "jsonl")
+        assert (code, out) == (3, "")
+        assert err.startswith("aborted:")
+        assert "asks for 6 grid points, more than the 5 allowed" in err
+
+
+def test_large_steps_count_exits_3_before_the_grid_is_built(capsys, monkeypatch):
+    # 10^6 steps took 22 s and 568 MB before the cap.
+    def refuse(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(cli, "_linspace", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--param", "eta_d", "--from", "0.1", "--to", "0.9", "--steps", "1000000")
+    assert (code, out) == (3, "")
+    assert err == (f"aborted: --steps 1000000 asks for 1000000 grid points, "
+                   f"more than the {cli.MAX_SWEEP_POINTS} allowed\n")
 
 
 def test_sweep_unknown_param_exits_2(capsys):
@@ -560,6 +587,76 @@ def test_parser_is_built_once_and_reused(monkeypatch):
     assert "seed 0" in sim_manifest and "trials" in sim_manifest
     assert rates_manifest.startswith(f"repeaterlab {repeaterlab.__version__} rates: <t> s, modules ")
     assert "seed" not in rates_manifest and "trials" not in rates_manifest
+
+
+# Every subcommand, the three simulate regimes (direct draws at n <= 1,
+# compound draws at n = 4) and the exit-2 and exit-3 paths.
+_COLLECTOR_CALLS = {
+    "simulate-n0": ("simulate", "--n", "0", "--l-km", "80", "--trials", "200", "--seed", "3", "--format", "jsonl"),
+    "simulate-n1": ("simulate", "--n", "1", "--l-km", "160", "--trials", "100", "--seed", "3", "--format", "jsonl"),
+    "simulate-n4": ("simulate", "--n", "4", "--l-km", "1280", "--trials", "3", "--seed", "3", "--format", "jsonl"),
+    "rates": ("rates", "--format", "jsonl"),
+    "sweep-n": ("sweep", "--param", "n", "--from", "1", "--to", "10"),
+    "sweep-2000-steps": ("sweep", "--param", "eta_d", "--from", "0.5", "--to", "0.9", "--steps", "2000",
+                         "--format", "csv"),
+    "reproduce-paper": ("reproduce-paper",),
+    "bsm-verify": ("bsm-verify", "--phases", "8", "--format", "jsonl"),
+    "exit-2": ("simulate", "--trials", "0"),
+    "exit-3": ("simulate", "--n", "0"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        codes = []
+        for argv in _COLLECTOR_CALLS.values():
+            codes.append(_call_main(argv)[0])
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert codes == [0] * 8 + [2, 3]
+
+
+@pytest.mark.parametrize("argv", _COLLECTOR_CALLS.values(), ids=_COLLECTOR_CALLS.keys())
+def test_warm_calls_leave_no_cyclic_garbage(argv):
+    # What run() relies on when it turns the collector off: after a first
+    # call has paid for first-time imports, a call leaves no cycles, so
+    # nothing accumulates with trials, steps or phases.
+    first = _call_main(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert _call_main(argv)[:2] == first[:2]
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_process_runs_without_a_collection():
+    argv = ["simulate", "--n", "1", "--l-km", "160", "--trials", "200", "--seed", "5", "--format", "jsonl"]
+    # atexit hooks run before the interpreter's finalization, whose full
+    # collection then skips the objects that run() froze.
+    script = (
+        "import atexit, gc, json, sys\n"
+        "from repeaterlab import cli\n"
+        "collections = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(info))\n"
+        "atexit.register(lambda: print(json.dumps([len(collections), len(gc.get_objects()), gc.get_freeze_count()]),"
+        " file=sys.stderr))\n"
+        "cli.run()\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, *argv], env=_package_env(os.environ), capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0
+    collections, unfrozen, frozen = json.loads(res.stderr)
+    assert collections == 0
+    assert unfrozen < frozen / 100
+    assert _call_main(argv) == (0, res.stdout, "")
 
 
 def test_usage_error_exits_2():

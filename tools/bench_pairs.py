@@ -1,0 +1,149 @@
+"""Alternating parent/change pairs of the benchmark, summarized.
+
+Usage (from the repository root):
+
+    python3 tools/bench_pairs.py --parent HEAD --pairs 10 --seconds 25 --out BENCH_<n>.json
+
+For every workload that ``BENCHMARK.json`` declares, pair i runs
+``bench/run.py --workload W --seed S --seconds T --trace 0`` once on each
+side, at the seed ``--first-seed + 100 k + i`` for the k-th workload.
+The side that runs first alternates from pair to pair, so slow drift of
+the machine's speed hits both sides alike.  ``--parent`` and ``--change``
+name git revisions, each exported with ``git archive`` into a temporary
+directory; without ``--change`` the change is this checkout's working
+tree.  Each side's benchmark runs against its own ``src/`` and writes
+its own ``bench/out/``.  An A/A control passes the same revision as
+both sides.
+
+The output file holds, per workload and side, the run manifests, the
+per-pair metric values with their median and quartiles, and the
+attempted and failed operations of every run; per metric, the number of
+pairs in which the change is lower and the change/parent ratio of the
+medians.  The Markdown table of those numbers is printed to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def checkout(spec: str | None, scratch: Path, name: str) -> tuple[Path, dict]:
+    """The directory that runs revision ``spec`` (None: the working tree), and what it is."""
+    if spec is None:
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+        return ROOT, {"spec": "working tree", "commit": git("rev-parse", "HEAD"), "dirty": dirty}
+    commit = git("rev-parse", "--verify", spec + "^{commit}")
+    target = scratch / name
+    target.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target, {"spec": spec, "commit": commit, "dirty": False}
+
+
+def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; the parts of its results file that pairs compare."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
+    res = subprocess.run(argv, cwd=side, capture_output=True, text=True)
+    if res.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {side} exited {res.returncode}: {res.stderr.strip()[-500:]}")
+    with open(side / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json", encoding="utf-8") as fh:
+        result = json.load(fh)
+    return {
+        "seed": seed,
+        "manifest": result["manifest"],
+        "metrics": {name: stats["value"] for name, stats in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "failed_share": result["failed_share"],
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per metric, each side's spread, the pairs in which the change is
+    lower, and the change/parent ratio of the medians."""
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        sides = {side: spread([run["metrics"][name] for run in runs[side]]) for side in ("parent", "change")}
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            **sides,
+            "pairs_lower": sum(c < p for p, c in zip(sides["parent"]["values"], sides["change"]["values"])),
+            "ratio": sides["change"]["median"] / sides["parent"]["median"],
+        }
+    return out
+
+
+def markdown_table(report: dict) -> str:
+    def cell(stats: dict) -> str:
+        return f"{stats['median']:.4g} ({stats['q1']:.4g}–{stats['q3']:.4g})"
+
+    lines = ["| workload | metric | parent | change | change / parent | change lower |", "|---|---|---|---|---|---|"]
+    for workload, entry in report["workloads"].items():
+        for name, m in entry["metrics"].items():
+            change = f"{(m['ratio'] - 1) * 100:+.1f}%".replace("-", "−")
+            lines.append(f"| {workload} | `{name}` ({m['unit']}) | {cell(m['parent'])} | {cell(m['change'])} | "
+                         f"{change} | {m['pairs_lower']}/{len(m['parent']['values'])} |")
+    failed = "; ".join(
+        f"{workload} " + " / ".join(f"{sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}"
+                                    for runs in entry["sides"].values())
+        for workload, entry in report["workloads"].items())
+    return "\n".join(lines) + f"\n\nFailed operations, parent / change: {failed}."
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", default=None, help="git revision (default: the working tree)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--first-seed", type=int, default=9100)
+    parser.add_argument("--out", type=Path, required=True, help="JSON report")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0 or args.first_seed < 0:
+        parser.error("--pairs must be >= 1, --seconds > 0 and --first-seed >= 0")
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = json.load(fh)
+    workloads = [w["name"] for w in declared["workloads"]]
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        dirs, report = {}, {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
+        for side, spec in (("parent", args.parent), ("change", args.change)):
+            dirs[side], report[side] = checkout(spec, Path(scratch), side)
+        runs = {w: {"parent": [], "change": []} for w in workloads}
+        for i in range(args.pairs):
+            for k, workload in enumerate(workloads):
+                seed = args.first_seed + 100 * k + i
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    runs[workload][side].append(run_once(dirs[side], workload, seed, args.seconds))
+                    print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
+                          f"wall_s {runs[workload][side][-1]['metrics']['wall_s']:.4f}", file=sys.stderr)
+    for workload in workloads:
+        report["workloads"][workload] = {"sides": runs[workload],
+                                         "metrics": summarize(runs[workload], declared["end_to_end"])}
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(markdown_table(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
