@@ -7,12 +7,13 @@ values round-trip, JSONL emits one record per line.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3
 guard (a zero-probability stage or local rate r p_l, a time, rate or
-bound that is not a finite float, a link success probability too
-small to sample, a --trials count whose array cannot be allocated, a
-sweep grid, by --steps or integer, of more than MAX_SWEEP_POINTS
-points, or a bsm-verify --phases above MAX_PHASES).  Flag overrides
-take precedence over the config file, which takes precedence over the
-paper defaults.
+bound that is not a finite float, a run that ``rates.sampling_plan``
+refuses to sample (too many expected preparation draws per link or
+elementary links per trial), a --trials count whose array cannot be
+allocated, a sweep grid, by --steps or integer, of more than
+MAX_SWEEP_POINTS points, or a bsm-verify --phases above MAX_PHASES).
+Flag overrides take precedence over the config file, which takes
+precedence over the paper defaults.
 REPEATERLAB_SEED provides the default seed (the --seed flag wins); a
 negative seed is a config error.
 
@@ -21,8 +22,8 @@ only ``simulate`` loads numpy: ``rates``, ``sweep`` and
 ``reproduce-paper`` need ``rates`` alone, ``bsm-verify`` the plain-Python
 ``fock``/``optics`` and no ``sim``, and ``simulate`` no
 ``optics``/``fock``.  ``simulate`` checks --trials, the seed and the
-sampling guards (``rates.sampling_probabilities``) before it imports
-numpy and ``sim``, and a ``simulate`` run that loads numpy sets
+sampling guards (``rates.sampling_plan``, their one owner) before it
+imports numpy and ``sim``, and a ``simulate`` run that loads numpy sets
 OPENBLAS_NUM_THREADS to 1 unless it is set; no output depends on it.
 
 ``main`` builds its parser once per process (``build_parser`` is
@@ -149,8 +150,8 @@ def cmd_simulate(args, params: ProtocolParams) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = _default_seed(args)
-    # The sampler runs the same checks; here they refuse a run before numpy loads.
-    rates.sampling_probabilities(params)
+    # The sampler makes the same plan; here its checks refuse a run before numpy loads.
+    rates.sampling_plan(params)
     if "numpy" not in sys.modules:
         # simulate makes no BLAS call, so an OpenBLAS worker thread would
         # only slow numpy's import; a value the user exported wins.

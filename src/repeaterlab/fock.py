@@ -459,13 +459,3 @@ def dark_state_residual(g: float, omega: float, n_atoms: int) -> float:
 
     residual = math.sqrt(sum(a * a for a in _conversion_hamiltonian_action(g, omega, dark).values()))
     return residual / max(abs(g), abs(omega))
-
-
-def dark_sector_hamiltonian(g: float, omega: float) -> tuple[tuple[float, ...], ...]:
-    """Single-excitation symmetric-sector block of the conversion
-    Hamiltonian in the basis (S^dag|g>|1>, T^dag|g>|0>, E^dag|g>|0>)."""
-    return (
-        (0.0, 0.0, g),
-        (0.0, 0.0, omega),
-        (g, omega, 0.0),
-    )

@@ -3,12 +3,15 @@
 Every quantity is an exact formula evaluation; the optics module checks
 the probabilities against the state-level pipelines and the sim module
 quantifies how well the total-time product formula approximates the true
-expected time.
+expected time.  ``sampling_plan`` is the one owner of a Monte Carlo run's
+sampling guards and of its expected elementary links per swap level,
+which the sim module's sampler reads for its block size and split points.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .core import ProtocolParams, RateReport
 
@@ -88,13 +91,26 @@ _MAX_LINK_DRAWS = 2**46
 _MAX_TRIAL_LINKS = 2**24
 
 
-def sampling_probabilities(params: ProtocolParams,
-                           stage_probs: tuple[float, float, float] | None = None) -> tuple[float, float, float]:
-    """(p_l, p_0, p_swap) of a Monte Carlo run: ``stage_probs`` if given
-    (ValueError unless each lies in (0, 1]), else
+class SamplingPlan(NamedTuple):
+    """The stage probabilities of a Monte Carlo run and its expected work:
+    ``links[L]`` = (2/p_swap)^L elementary links make one level-L link,
+    for L = 0..n, since a swap level takes 1/p_swap attempts on two links."""
+
+    p_l: float
+    p_0: float
+    p_swap: float
+    links: tuple[float, ...]
+
+
+def sampling_plan(params: ProtocolParams,
+                  stage_probs: tuple[float, float, float] | None = None) -> SamplingPlan:
+    """The plan of a Monte Carlo run, the one owner of its guards and its
+    expected links per level.  The probabilities are ``stage_probs`` if
+    given (ValueError unless each lies in (0, 1]), else
     ``stage_probabilities(params)``.  GuardError if a link expects more
     than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or a trial
-    more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n."""
+    more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n; the
+    ``links`` table is built only once both checks pass."""
     if stage_probs is None:
         p_l, p_0, p_sw = stage_probabilities(params)
     else:
@@ -111,7 +127,7 @@ def sampling_probabilities(params: ProtocolParams,
         raise GuardError(f"n = {params.n} levels at p_swap = {p_sw:.3g} mean (2/p_swap)^n = "
                          f"2^{log2_links:.4g} expected elementary links per trial, "
                          f"above the sampling limit {_MAX_TRIAL_LINKS:.3g}")
-    return p_l, p_0, p_sw
+    return SamplingPlan(p_l, p_0, p_sw, tuple((2.0 / p_sw) ** level for level in range(params.n + 1)))
 
 
 def t_total(params: ProtocolParams) -> RateReport:

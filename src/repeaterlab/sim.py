@@ -22,7 +22,7 @@ rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
 ``PCG64`` from ``derive_trial_seed``; ``_trial_states`` yields the same
 states from numpy's seeding arithmetic over arrays of trials.
 ``estimate`` runs its trials in blocks of max(1, floor(``_SLICE_DRAWS``
-p_0 / (2 (2/p_swap)^n))), so a block expects at most ``_SLICE_DRAWS``
+p_0 / (2 links[n]))), so a block expects at most ``_SLICE_DRAWS``
 direct preparation draws.  Each trial of a block draws on its own
 Generator, loaded with its state, exactly the variates it draws alone,
 in the same order; the block does the arithmetic on them once, over
@@ -39,16 +39,16 @@ request draws each link's exact compound sums: gamma and Poisson
 variates for the launches' minima, the first tie's position, a binomial
 count of later ties if that comes by launch K, and gamma and Poisson
 variates for the untied launches' excess.  Requests expecting more than
-``_SLICE_LINKS`` elementary links are sampled in halves: a list of
-several trials' requests by trials, one trial's request by links, so a
-trial is split as it would be alone.  The two constants fix the stream:
-n = 0 over 80 km and n = 1 over 160 km draw one by one, n = 4 over
-1280 km 99.5% compound.
+``_SLICE_LINKS`` elementary links (links[L] per level-L link) are sampled
+in halves: a list of several trials' requests by trials, one trial's
+request by links, so a trial is split as it would be alone.  The two
+constants fix the stream: n = 0 over 80 km and n = 1 over 160 km draw
+one by one, n = 4 over 1280 km 99.5% compound.
 
-A run that cannot be sampled is refused by ``rates.sampling_probabilities``,
-the sampling guards' one numpy-free owner, which ``_TrialSampler`` calls
-once per run.  ``estimate`` also refuses a trial count whose total-time
-array cannot be allocated.
+``rates.sampling_plan``, which ``_TrialSampler`` calls once per run, is
+the numpy-free owner of the sampling guards and of links[L] = (2/p_swap)^L,
+the expected elementary links of a level-L link.  ``estimate`` also
+refuses a trial count whose total-time array cannot be allocated.
 
 ``exact_expected_time_small`` is the exact n <= 1 reference, under
 either policy: a closed form at n = 0, a characteristic-function
@@ -235,20 +235,18 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
 class _TrialSampler:
     """Blocks of trials of one (params, policy, stage_probs) run, each
     trial on its own Generator, and the run's attempt totals (Python
-    ints, so exact); ``rates.sampling_probabilities`` checks the stage
-    probabilities once, when the sampler is built."""
+    ints, so exact); its ``rates.sampling_plan`` is made once."""
 
     def __init__(self, params: ProtocolParams, policy: SimPolicy,
                  stage_probs: tuple[float, float, float] | None = None):
-        p_l, p_0, p_sw = rates.sampling_probabilities(params, stage_probs)
+        self.p_l, self.p_0, self.p_sw, self.links = rates.sampling_plan(params, stage_probs)
         self.n = params.n
         self.swap_comm_time = policy.swap_comm_time
-        self.p_l, self.p_0, self.p_sw = p_l, p_0, p_sw
-        # Trials per block: a trial expects 2 (2/p_swap)^n / p_0 preparation draws.
-        self.block = max(1, int(_SLICE_DRAWS / (2.0 * (2.0 / p_sw) ** params.n / p_0)))
+        # Trials per block: a trial expects 2 links[n] / p_0 preparation draws.
+        self.block = max(1, int(_SLICE_DRAWS / (2.0 * self.links[self.n] / self.p_0)))
         # Below 1/3 numpy draws Geom(p) as ceil(E / -log1p(-p)), E a
         # standard exponential; from 1/3 up it searches (scale 0).
-        self.scale = -math.log1p(-p_l) if p_l < 1.0 / 3.0 else 0.0
+        self.scale = -math.log1p(-self.p_l) if self.p_l < 1.0 / 3.0 else 0.0
         self.slot = 1.0 / params.r
         self.flight = params.l0 / params.c
         self.prep_attempts = 0
@@ -266,9 +264,9 @@ class _TrialSampler:
         Failed subtrees restart from scratch, so a link lasts the sum, over
         its attempts, of the longer of two fresh links one level down.
         """
-        # A link at this level expects (2/p_swap)^level elementary links;
-        # a list is halved by entries, then a single entry by links.
-        if sum(ms) * (2.0 / self.p_sw) ** level > _SLICE_LINKS and (len(ms) > 1 or ms[0] > 1):
+        # A link at this level expects links[level] elementary links; a
+        # list is halved by entries, then a single entry by links.
+        if sum(ms) * self.links[level] > _SLICE_LINKS and (len(ms) > 1 or ms[0] > 1):
             if len(ms) > 1:
                 half = len(ms) // 2
                 parts = (rngs[:half], ms[:half]), (rngs[half:], ms[half:])
@@ -363,7 +361,7 @@ def simulate_trial(
     down the event accounting in tests: physical efficiencies cap each
     probability at 1/2, so e.g. the all-probabilities-1 case (one prep
     pulse, one flight per link, free swaps) is reachable only this way.
-    Raises what ``rates.sampling_probabilities`` raises, and
+    Raises what ``rates.sampling_plan`` raises, and
     SimulationGuardError if the trial time is not a finite float.
     """
     sampler = _TrialSampler(params, policy, stage_probs)

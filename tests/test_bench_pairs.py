@@ -1,5 +1,6 @@
 """The benchmark pair runner's summary: spreads, pairs lower, the ratio
-of the medians, and the Markdown table (no benchmark is run)."""
+of the medians, the Markdown table, and the counts read from pytest's
+summary line (no benchmark or test suite is run)."""
 
 import importlib.util
 from pathlib import Path
@@ -30,3 +31,20 @@ def test_summary_counts_pairs_lower_and_ratio_of_medians():
 def test_one_pair_has_its_value_as_quartiles():
     spread = bench_pairs.spread([0.25])
     assert spread == {"values": [0.25], "median": 0.25, "q1": 0.25, "q3": 0.25}
+
+
+def test_pytest_counts_read_the_closing_summary_line():
+    counts = bench_pairs.pytest_counts
+    assert counts("....\n437 passed in 50.12s\n") == {"passed": 437, "failed": 0}
+    assert counts("F.\nFAILED tests/test_x.py::test_y - 3 passed\n"
+                  "2 failed, 435 passed, 1 warning in 51.00s (0:00:51)\n\n") == {"passed": 435, "failed": 2}
+    assert counts("1 failed, 10 passed, 2 errors in 3.10s") == {"passed": 10, "failed": 3}
+    assert counts("no tests ran in 0.01s") == {"passed": 0, "failed": 0}
+    assert counts("") == {"passed": 0, "failed": 0}
+
+
+def test_tier1_line_names_both_sides():
+    tier1 = {"parent": {"wall_s": 50.04, "exit": 0, "passed": 437, "failed": 0},
+             "change": {"wall_s": 49.5, "exit": 1, "passed": 440, "failed": 1}}
+    assert bench_pairs.tier1_line(tier1) == (
+        "Tier-1, parent / change: 437 passed, 0 failed in 50.0 s / 440 passed, 1 failed in 49.5 s.")

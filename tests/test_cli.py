@@ -150,9 +150,10 @@ def test_simulate_negative_seed_exits_2(capsys):
 def test_simulate_guard_exits_3(capsys):
     # A zero-probability stage, then p_0 ~ 1e-26 (n = 0) and ~ 1e-13
     # (n = 1) over the default 1280 km and p_l ~ 1e-17 (eta_p = 1e-7): too
-    # small to sample; last, (2/p_swap)^40 ~ 2^104 elementary links.
+    # small to sample; last, (2/p_swap)^40 ~ 2^104 elementary links, and
+    # (2/p_swap)^5000 ~ 2^13041, which would overflow a float.
     for argv in ((*FAST_SIM, "--eta-d", "0"), ("--n", "0"), ("--n", "1"), ("--eta-p", "1e-7"),
-                 ("--n", "40", "--l-km", "80000", "--trials", "1")):
+                 ("--n", "40", "--l-km", "80000", "--trials", "1"), ("--n", "5000")):
         code, out, err = run_cli(capsys, "simulate", *argv)
         assert code == 3
         assert out == ""

@@ -17,7 +17,6 @@ from repeaterlab.fock import (
     Unitary,
     WeightedEnsemble,
     checked_unitary,
-    dark_sector_hamiltonian,
     dark_state_residual,
     unitarity_defect,
 )
@@ -458,6 +457,16 @@ def test_measure_outcome_rarer_than_prune_threshold():
 
 def test_dark_state_balanced_couplings():
     assert dark_state_residual(1.0, 1.0, 1) < 1e-12
+
+
+def dark_sector_hamiltonian(g: float, omega: float) -> np.ndarray:
+    """Single-excitation symmetric-sector block of the conversion
+    Hamiltonian in the basis (S^dag|g>|1>, T^dag|g>|0>, E^dag|g>|0>)."""
+    return np.array([
+        [0.0, 0.0, g],
+        [0.0, 0.0, omega],
+        [g, omega, 0.0],
+    ])
 
 
 def test_dark_state_explicit_oracle():

@@ -110,17 +110,34 @@ def test_zero_probability_guard():
     pytest.param(N0.with_overrides(eta_d=0.0), None, SimulationGuardError, id="zero-stage"),
     pytest.param(paper_defaults().with_overrides(n=0), None, SimulationGuardError, id="p0-too-small"),
     pytest.param(N4.with_overrides(n=40, L=80000.0), None, SimulationGuardError, id="too-many-links"),
+    pytest.param(N4.with_overrides(n=5000), None, SimulationGuardError, id="links-table-would-overflow"),
     pytest.param(N0, (0.5, 1.5, 1.0), ValueError, id="stage-probs-outside"),
 ])
 def test_sampling_guards_have_one_owner(params, stage_probs, error):
-    # The sampler refuses exactly what rates.sampling_probabilities
-    # refuses, with its type and message: the checks are not copied.
+    # The sampler refuses exactly what rates.sampling_plan refuses, with
+    # its type and message: the checks are not copied.  At n = 5000 the
+    # plan's links table, (2/p_swap)^5000, would overflow a float, so the
+    # guards must run before it is built.
     with pytest.raises(error) as owner:
-        rates.sampling_probabilities(params, stage_probs)
+        rates.sampling_plan(params, stage_probs)
     with pytest.raises(error) as sampler:
         _TrialSampler(params, OFF, stage_probs)
     assert type(sampler.value) is type(owner.value)
     assert str(sampler.value) == str(owner.value)
+
+
+@pytest.mark.parametrize("params, block", [
+    (N0, 70),
+    (paper_defaults().with_overrides(L=150.0, n=0), 2),
+    (N1, 11),
+    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), 26),
+    (N4, 1),
+    (N4.with_overrides(n=6), 1),
+], ids=["n0", "n0-150km", "n1", "n1-ideal", "n4", "n6"])
+def test_block_sizes_match_the_readme(params, block):
+    # Trials per block, max(1, floor(2^14 p_0 / (2 links[n]))), at the
+    # values the README documents.
+    assert _TrialSampler(params, OFF).block == block
 
 
 def test_single_link_draws_are_sliced():
@@ -503,6 +520,7 @@ def test_attempt_counts_match_exact_means(n, seed):
     # seed's top-level draw is shared across n.
     params = paper_defaults().with_overrides(L=1280.0, n=n)
     p_l, p_0, p_sw = rates.stage_probabilities(params)
+    assert rates.sampling_plan(params).links == tuple((2.0 / p_sw) ** L for L in range(n + 1))
     counts = [simulate_trial(params, OFF, derive_trial_seed(seed, i)).counts for i in range(400)]
     links = (2.0 / p_sw) ** n
     cases = [("prep", [c.prep_attempts for c in counts], links / p_0 * 2.0 / p_l),

@@ -13,23 +13,30 @@ name git revisions, each exported with ``git archive`` into a temporary
 directory; without ``--change`` the change is this checkout's working
 tree.  Each side's benchmark runs against its own ``src/`` and writes
 its own ``bench/out/``.  An A/A control passes the same revision as
-both sides.
+both sides.  After the pairs, each side runs the Tier-1 tests once,
+``python -m pytest -q -p no:cacheprovider`` with ``PYTHONPATH=src`` in
+its own directory.
 
 The output file holds, per workload and side, the run manifests, the
 per-pair metric values with their median and quartiles, and the
 attempted and failed operations of every run; per metric, the number of
 pairs in which the change is lower and the change/parent ratio of the
-medians.  The Markdown table of those numbers is printed to stdout.
+medians; per side, the Tier-1 wall seconds and passed and failed
+counts.  The Markdown table of those numbers, and a line with the
+Tier-1 runs under it, are printed to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +76,28 @@ def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "failed_share": result["failed_share"],
     }
+
+
+def pytest_counts(output: str) -> dict:
+    """The passed and failed tests that pytest's closing summary line,
+    the last non-blank line of ``output``, reports; errors count as failed."""
+    lines = [line for line in output.splitlines() if line.strip()]
+    counts = {word: int(number) for number, word in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)}
+
+
+def run_tier1(side: Path) -> dict:
+    """One Tier-1 run in ``side``: its wall seconds, exit code and counts."""
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"], cwd=side,
+                         env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, "exit": res.returncode, **pytest_counts(res.stdout)}
+
+
+def tier1_line(tier1: dict) -> str:
+    return "Tier-1, parent / change: " + " / ".join(
+        f"{t['passed']} passed, {t['failed']} failed in {t['wall_s']:.1f} s" for t in tier1.values()) + "."
 
 
 def spread(values: list[float]) -> dict:
@@ -137,11 +166,13 @@ def main(argv=None) -> int:
                     runs[workload][side].append(run_once(dirs[side], workload, seed, args.seconds))
                     print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                           f"wall_s {runs[workload][side][-1]['metrics']['wall_s']:.4f}", file=sys.stderr)
+        report["tier1"] = {side: run_tier1(dirs[side]) for side in ("parent", "change")}
     for workload in workloads:
         report["workloads"][workload] = {"sides": runs[workload],
                                          "metrics": summarize(runs[workload], declared["end_to_end"])}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(markdown_table(report))
+    print(tier1_line(report["tier1"]))
     return 0
 
 
