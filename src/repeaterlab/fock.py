@@ -3,29 +3,29 @@
 States are sparse maps from occupation vectors to complex amplitudes over
 an ordered mode registry.  Mixed states are represented as weighted pure
 branches (every mixing source in the protocol -- storage vacuum terms,
-loss channels, detector misses -- is a probabilistic branch), which keeps
-the algebra exact and overlaps cheap.
+detector misses -- is a probabilistic branch), which keeps the algebra
+exact and overlaps cheap.
 
-A loss channel of transmissivity eta splits each branch in closed form:
-the component that lost k of a mode's n photons carries the binomial
-amplitude sqrt(C(n, k) eta^(n-k) (1-eta)^k), so no environment mode is
-created and the registry never grows from losses.  Detection is one
-step, ``WeightedEnsemble.measure``: it counts several modes at once
-through detectors of efficiency eta, with the same binomial weights for
-the photons the detectors miss, and removes the counted modes.  Every
-mode's occupation is capped at ``D_MAX`` = 2: the protocol post-selects
-at most two photons per detection stage, and double clicks at one
-detector need occupation 2.
+Photon loss lives only in the detectors.  Detection is one step,
+``WeightedEnsemble.measure``: it counts several modes at once through
+detectors of efficiency eta and removes the counted modes.  A mode
+holding n photons records k of them with the binomial amplitude
+sqrt(C(n, k) eta^k (1-eta)^(n-k)), and each number of missed photons
+leaves an orthogonal branch, so no environment mode is created.  A loss
+in front of the detectors is charged by lowering eta (``optics`` states
+when that is exact).  Every mode's occupation is capped at ``D_MAX`` =
+2: the protocol post-selects at most two photons per detection stage,
+and double clicks at one detector need occupation 2.
 
 An ensemble stores its one registry once and each branch as a weight
 and a plain ``{occupation vector: amplitude}`` map; a pure state is a
 one-branch ensemble.  A pure state enters the engine through
 ``WeightedEnsemble.pure``, which rejects an occupation vector of the
 wrong length or with an occupation outside [0, D_MAX].  The ensemble
-operations (``apply_linear_map``, ``tensor``, ``apply_loss`` and
-``measure``) build their branches as plain maps without that check,
-since each either checks the cutoff itself (``apply_linear_map``) or
-can only lower counts or drop modes; they only prune small amplitudes.
+operations (``apply_linear_map``, ``tensor`` and ``measure``) build
+their branches as plain maps without that check, since each either
+checks the cutoff itself (``apply_linear_map``) or can only lower
+counts or drop modes; they only prune small amplitudes.
 An operation checks its arguments once per call, not once per branch.
 A linear map's matrix is checked once, by ``checked_unitary``, which
 returns it as a ``Unitary`` (immutable rows of Python complex numbers);
@@ -33,12 +33,11 @@ returns it as a ``Unitary`` (immutable rows of Python complex numbers);
 again.  The module needs only the standard library.
 
 Every ensemble is built by the ``WeightedEnsemble`` constructor, which
-merges exactly identical branches, so ``apply_linear_map``, ``tensor``,
-``apply_loss`` and ``measure`` all merge: a loss split or a measurement
-can produce identical components, and a unitary or a product can round
-two branches that differ in their last bits (loss branches reached
-along different paths) into identical ones.  The merge is skipped only
-when a single branch remains, where there is nothing to merge.
+merges exactly identical branches, so ``apply_linear_map``, ``tensor``
+and ``measure`` all merge: a measurement can produce identical
+components, and a unitary or a product can round two branches that
+differ in their last bits into identical ones.  The merge is skipped
+only when a single branch remains, where there is nothing to merge.
 """
 
 from __future__ import annotations
@@ -138,8 +137,8 @@ class ModeRegistry:
 def _binomial_factors(eta: float) -> tuple[tuple[tuple[int, float], ...], ...]:
     """For each photon number n <= D_MAX, the (k, sqrt(C(n, k) eta^k
     (1 - eta)^(n - k))) pairs with a nonzero factor, k ascending: the
-    amplitude factor for k of n photons passing an efficiency-eta
-    channel or detector."""
+    amplitude factor for an efficiency-eta detector recording k of n
+    photons."""
     table = []
     for n in range(D_MAX + 1):
         pairs = ((k, math.sqrt(math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k))) for k in range(n + 1))
@@ -326,30 +325,6 @@ class WeightedEnsemble:
                 amps = {o1 + o2: a1 * a2 for o1, a1 in amps1.items() for o2, a2 in amps2.items()}
                 out.append((w1 * w2, _pruned(amps)))
         return WeightedEnsemble(registry, out)
-
-    def apply_loss(self, mode: ModeId, eta: float) -> "WeightedEnsemble":
-        """Photon loss of transmissivity eta on one mode.
-
-        Each branch splits into orthogonal components labelled by the
-        number k of photons lost, with binomial amplitudes (a beamsplitter
-        into an environment mode that is traced out, in closed form).
-        """
-        if not 0.0 <= eta <= 1.0:
-            raise FockError(f"transmissivity must be in [0, 1], got {eta}")
-        i = self.registry.index(mode)
-        factors = _binomial_factors(eta)
-        out = []
-        for w, amps in self.branches:
-            lost: dict[int, dict[tuple, complex]] = {}
-            for occ, amp in amps.items():
-                n = occ[i]
-                # Fewest photons lost first, the order the components are listed in.
-                for kept, coeff in reversed(factors[n]):
-                    new = occ[:i] + (kept,) + occ[i + 1:]
-                    comp = lost.setdefault(n - kept, {})
-                    comp[new] = comp.get(new, 0.0) + amp * coeff
-            out.extend(branch for _, branch in _split(w, lost))
-        return WeightedEnsemble(self.registry, out)
 
     def measure(self, modes, eta: float) -> list[MeasurementOutcome]:
         """Number-resolved measurement of ``modes`` by detectors of

@@ -10,16 +10,28 @@ than assumed.  The analyzer's input modes are the H/V polarizations of
 paths a and b (``BSM_INPUT_MODES``), and ``BSM_UNITARY`` is its composed
 mode map onto the detectors D1..D4, checked once, at import, into a
 ``fock.Unitary``.  ``apply_bsm`` is that map followed by one
-efficiency-eta_d measurement of the four detector modes; a detection
-pattern is its tuple of counts at D1..D4.  Dark counts are not modelled
-here: the rates layer charges them in closed form (``rates.delta_f``).
+measurement of the four detector modes, at the efficiency set out
+below; a detection pattern is its tuple of counts at D1..D4.  Dark
+counts are not modelled here: the rates layer charges them in closed
+form (``rates.delta_f``).
 
 The three pipelines (local entanglement, elementary link, swap) build
 their states as ensembles -- the stored split photon from its phase, an
-ideal pair from its amplitude map (``pme_state``) -- compose them with
-loss channels and the analyzer, and report accept probability plus the
-corrected fidelity of the post-selected memory state to the maximally
-entangled state on that memory's registry.
+ideal pair from its amplitude map (``pme_state``) -- convert memory
+excitations to photons, run the analyzer, and report accept probability
+plus the corrected fidelity of the post-selected memory state to the
+maximally entangled state on that memory's registry.
+
+Every photon loss is charged at the analyzer's detectors.  This holds
+under one condition, which every pipeline (and
+``filtering_accept_probabilities``) keeps: each photon reaching the
+analyzer has passed the same losses whichever of the four
+``BSM_INPUT_MODES`` it is on -- retrieval (eta_e1 or eta_e2) and, in the
+link, the fiber (eta_t).  Loss that is equal on every input mode
+commutes with the passive analyzer map, and a loss eta in front of a
+detector of efficiency eta_d is a detector of efficiency eta * eta_d.  So
+each pipeline calls ``apply_bsm`` once, at the product of its
+efficiencies, and the engine has no loss channel.
 """
 
 from __future__ import annotations
@@ -100,15 +112,16 @@ BSM_UNITARY = checked_unitary(tuple(tuple(SQRT_HALF * x for x in row) for row in
 )), len(BSM_INPUT_MODES))
 
 
-def apply_bsm(photons: WeightedEnsemble, eta_d: float) -> list[MeasurementOutcome]:
+def apply_bsm(photons: WeightedEnsemble, eta: float) -> list[MeasurementOutcome]:
     """Run the Bell analyzer: the mode map, then one number-resolved
-    measurement of the four detectors at efficiency ``eta_d``.
+    measurement of the four detectors at efficiency ``eta`` (eta_d times
+    the losses the photons passed on the way).
 
     Each outcome's counts are the clicks at D1..D4 and its state the
     conditional memory (photonic modes measured out); the outcome
     probabilities sum to 1.
     """
-    return photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta_d)
+    return photons.apply_linear_map(BSM_INPUT_MODES, BSM_UNITARY).measure(BSM_INPUT_MODES, eta)
 
 
 # The check points of ``bsm-verify``, in the order
@@ -175,12 +188,12 @@ def store_to_memory(phi: float, eta_p: float, eta_s: float, site: str = "L") -> 
     return WeightedEnsemble(memory_registry(site, "T"), [(1.0 - weight, {(0, 0): 1.0 + 0.0j}), (weight, stored)])
 
 
-def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], species: str) -> WeightedEnsemble:
+def _convert(memory: WeightedEnsemble, site_paths: dict[str, str], species: str) -> WeightedEnsemble:
     """Emit one photon per ``species`` excitation of the named sites.
 
     For every site in ``site_paths``, the u ensemble emits an H photon and
-    the d ensemble a V photon on the site's path; each new photon then
-    passes a transmissivity-``eta`` loss channel.  A converted T mode
+    the d ensemble a V photon on the site's path, losslessly (the
+    retrieval efficiency is charged at the detectors).  A converted T mode
     becomes the S mode of the same arm; a converted S mode leaves the
     registry.
     """
@@ -208,22 +221,19 @@ def _convert(memory: WeightedEnsemble, eta: float, site_paths: dict[str, str], s
                 raise OpticsError(f"conversion supports at most one excitation per {species} mode")
             out[tuple(occ[i] for i in keep_idx) + emitted] = amp
         branches.append((w, out))
-    ens = WeightedEnsemble(new_registry, branches)
-    for mode in converted.values():
-        ens = ens.apply_loss(mode, eta)
-    return ens
+    return WeightedEnsemble(new_registry, branches)
 
 
-def retrieve_t_to_s(memory: WeightedEnsemble, eta_e1: float, site_paths: dict[str, str]) -> WeightedEnsemble:
-    """T -> S conversion with anti-Stokes emission at efficiency ``eta_e1``:
-    T(u) -> S(u) plus an H photon, T(d) -> S(d) plus a V photon."""
-    return _convert(memory, eta_e1, site_paths, "T")
+def retrieve_t_to_s(memory: WeightedEnsemble, site_paths: dict[str, str]) -> WeightedEnsemble:
+    """T -> S conversion with anti-Stokes emission: T(u) -> S(u) plus an
+    H photon, T(d) -> S(d) plus a V photon."""
+    return _convert(memory, site_paths, "T")
 
 
-def retrieve_s_to_photon(memory: WeightedEnsemble, eta_e2: float, site_paths: dict[str, str]) -> WeightedEnsemble:
-    """S -> photon retrieval at efficiency ``eta_e2`` (H from the u
-    ensemble, V from the d ensemble); the S modes leave the registry."""
-    return _convert(memory, eta_e2, site_paths, "S")
+def retrieve_s_to_photon(memory: WeightedEnsemble, site_paths: dict[str, str]) -> WeightedEnsemble:
+    """S -> photon retrieval (H from the u ensemble, V from the d
+    ensemble); the S modes leave the registry."""
+    return _convert(memory, site_paths, "S")
 
 
 def pme_state(registry: ModeRegistry, site_a: str, site_b: str) -> dict[tuple, complex]:
@@ -316,12 +326,12 @@ class PipelineReport(NamedTuple):
     patterns: tuple[PatternReport, ...]
 
 
-def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_b: str) -> PipelineReport:
-    """Bell analyzer on ``photons`` (no dark counts: they are handled
-    analytically in the rates layer), each accepting pattern's memory
-    scored against the maximally entangled state of ``site_a`` and
-    ``site_b``."""
-    results = apply_bsm(photons, eta_d)
+def _heralded_report(photons: WeightedEnsemble, eta: float, site_a: str, site_b: str) -> PipelineReport:
+    """Bell analyzer at efficiency ``eta`` on ``photons`` (no dark counts:
+    they are handled analytically in the rates layer), each accepting
+    pattern's memory scored against the maximally entangled state of
+    ``site_a`` and ``site_b``."""
+    results = apply_bsm(photons, eta)
     accept_prob = 0.0
     fidelities = []
     reports = []
@@ -342,7 +352,7 @@ def _heralded_report(photons: WeightedEnsemble, eta_d: float, site_a: str, site_
     )
 
 
-def _inner_qubits_to_light(eta_e2: float, pair_a: tuple[str, str], pair_b: tuple[str, str]) -> WeightedEnsemble:
+def _inner_qubits_to_light(pair_a: tuple[str, str], pair_b: tuple[str, str]) -> WeightedEnsemble:
     """Two ideal pairs (outer, inner) and (inner, outer) with the inner
     qubits retrieved to light on paths a and b."""
     pairs = []
@@ -350,7 +360,7 @@ def _inner_qubits_to_light(eta_e2: float, pair_a: tuple[str, str], pair_b: tuple
         registry = ModeRegistry(memory_registry(x, "S").modes + memory_registry(y, "S").modes)
         pairs.append(WeightedEnsemble.pure(registry, pme_state(registry, x, y)))
     ens_a, ens_b = pairs
-    return retrieve_s_to_photon(ens_a.tensor(ens_b), eta_e2, {pair_a[1]: "a", pair_b[0]: "b"})
+    return retrieve_s_to_photon(ens_a.tensor(ens_b), {pair_a[1]: "a", pair_b[0]: "b"})
 
 
 def local_entanglement_pipeline(
@@ -366,8 +376,8 @@ def local_entanglement_pipeline(
     """
     mem_l = store_to_memory(phi_l, params.eta_p, params.eta_s, "L")
     mem_r = store_to_memory(phi_r, params.eta_p, params.eta_s, "R")
-    ens = retrieve_t_to_s(mem_l.tensor(mem_r), params.eta_e1, {"L": "a", "R": "b"})
-    return _heralded_report(ens, params.eta_d, "L", "R")
+    ens = retrieve_t_to_s(mem_l.tensor(mem_r), {"L": "a", "R": "b"})
+    return _heralded_report(ens, params.eta_e1 * params.eta_d, "L", "R")
 
 
 def link_pipeline(params: ProtocolParams) -> PipelineReport:
@@ -378,11 +388,9 @@ def link_pipeline(params: ProtocolParams) -> PipelineReport:
     (transmission exp(-L_0 / (2 L_att))), and the analyzer heralds the
     outer-qubit pair A_L--B_R.
     """
-    ens = _inner_qubits_to_light(params.eta_e2, ("A_L", "A_R"), ("B_L", "B_R"))
+    ens = _inner_qubits_to_light(("A_L", "A_R"), ("B_L", "B_R"))
     eta_t = fiber_transmission(params.l0, params.L_att)
-    for mode in BSM_INPUT_MODES:
-        ens = ens.apply_loss(mode, eta_t)
-    return _heralded_report(ens, params.eta_d, "A_L", "B_R")
+    return _heralded_report(ens, params.eta_e2 * eta_t * params.eta_d, "A_L", "B_R")
 
 
 def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
@@ -405,8 +413,8 @@ def filtering_accept_probabilities(params: ProtocolParams) -> dict[str, float]:
     out = {}
     for name, occupation in components.items():
         ens = WeightedEnsemble.pure(registry, {occupation: 1.0})
-        ens = retrieve_t_to_s(ens, params.eta_e1, {"L": "a", "R": "b"})
-        results = apply_bsm(ens, params.eta_d)
+        ens = retrieve_t_to_s(ens, {"L": "a", "R": "b"})
+        results = apply_bsm(ens, params.eta_e1 * params.eta_d)
         out[name] = sum(
             res.probability for res in results if classify(res.outcome) is not BsmOutcome.REJECT
         )
@@ -417,5 +425,5 @@ def swap_pipeline(params: ProtocolParams) -> PipelineReport:
     """Entanglement swap at middle node B, connecting A--B and B--C pairs
     into an A--C pair over doubled distance (no fiber loss: the photons
     are detected locally at B)."""
-    ens = _inner_qubits_to_light(params.eta_e2, ("A", "B_L"), ("B_R", "C"))
-    return _heralded_report(ens, params.eta_d, "A", "C")
+    ens = _inner_qubits_to_light(("A", "B_L"), ("B_R", "C"))
+    return _heralded_report(ens, params.eta_e2 * params.eta_d, "A", "C")

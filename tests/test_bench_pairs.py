@@ -1,6 +1,6 @@
 """The benchmark pair runner's summary: spreads, pairs lower, the ratio
-of the medians, the Markdown table, and the counts read from pytest's
-summary line (no benchmark or test suite is run)."""
+of the medians, the Markdown table, the counts read from pytest's
+summary line, and the trace-1 table (no benchmark or test suite is run)."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +48,28 @@ def test_tier1_line_names_both_sides():
              "change": {"wall_s": 49.5, "exit": 1, "passed": 440, "failed": 1}}
     assert bench_pairs.tier1_line(tier1) == (
         "Tier-1, parent / change: 437 passed, 0 failed in 50.0 s / 440 passed, 1 failed in 49.5 s.")
+
+
+def test_trace1_table_lists_only_metrics_that_differ():
+    def run(metrics, failed=0):
+        return {"metrics": metrics, "attempted": 12, "failed": failed}
+
+    trace1 = {"w": {"parent": run({"optics.branch_count.link": 11.0, "optics.link_pipeline_ms": 2.0,
+                                   "rates.t_total_us": 3.5, "old.metric": 1.0}),
+                    "change": run({"optics.branch_count.link": 1.0, "optics.link_pipeline_ms": 0.5,
+                                   "rates.t_total_us": 3.5, "new.metric": 0.0}, failed=2)}}
+    lines = bench_pairs.trace1_table(trace1).splitlines()
+    assert lines[:2] == ["| workload | metric | parent | change | change / parent |", "|---|---|---|---|---|"]
+    assert lines[2:6] == [
+        "| w | `new.metric` | — | 0 | — |",
+        "| w | `old.metric` | 1 | — | — |",
+        "| w | `optics.branch_count.link` | 11 | 1 | −90.9% |",
+        "| w | `optics.link_pipeline_ms` | 2 | 0.5 | −75.0% |",
+    ]
+    assert lines[6:] == ["", "Trace-1 failed operations, parent / change: w 0 of 12 / 2 of 12."]
+
+
+def test_trace1_table_of_equal_runs_has_no_rows():
+    same = {"metrics": {"optics.branch_count.swap": 9.0}, "attempted": 3, "failed": 0}
+    table = bench_pairs.trace1_table({"w": {"parent": same, "change": same}})
+    assert table.splitlines()[2:] == ["", "Trace-1 failed operations, parent / change: w 0 of 3 / 0 of 3."]

@@ -318,72 +318,70 @@ def test_linear_map_preserves_norm_and_photon_number(seed):
 
 
 # ---------------------------------------------------------------------------
-# loss channel
+# loss in front of the detectors
 # ---------------------------------------------------------------------------
 
-def test_loss_splits_single_photon():
-    reg = two_modes()
-    mode = reg.modes[0]
-    ens = WeightedEnsemble.pure(reg, {(1, 0): 1.0})
-    lossy = ens.apply_loss(mode, 0.3)
-    weights = sorted((w, s) for w, s in lossy.branches)
-    assert weights[0][0] == pytest.approx(0.3)
-    assert (1, 0) in weights[0][1]
-    assert weights[1][0] == pytest.approx(0.7)
-    assert (0, 0) in weights[1][1]
+def reference_loss(ens, mode, eta):
+    """Oracle: a binomial loss channel of transmissivity ``eta`` on
+    ``mode``.  Each branch splits into orthogonal components labelled by
+    the number k of photons lost, the component of n photons carrying
+    sqrt(C(n, k) eta^(n-k) (1-eta)^k)."""
+    i = ens.registry.index(mode)
+    out = []
+    for w, amps in ens.branches:
+        lost = {}
+        for occ, amp in amps.items():
+            n = occ[i]
+            for k in range(n + 1):
+                coeff = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+                if coeff != 0.0:
+                    lost.setdefault(k, {})[occ[:i] + (n - k,) + occ[i + 1:]] = amp * coeff
+        for comp in lost.values():
+            p = sum(abs(a) ** 2 for a in comp.values())
+            out.append((w * p, {occ: a / math.sqrt(p) for occ, a in comp.items()}))
+    return WeightedEnsemble(ens.registry, out)
 
 
-def test_loss_eta_one_is_identity():
-    rng = np.random.default_rng(5)
-    reg = two_modes()
-    ens = random_state(reg, rng)
-    out = ens.apply_loss(reg.modes[0], 1.0)
-    assert out.branch_count == 1
-    assert out.branches[0][1] == pytest.approx(ens.branches[0][1])
-
-
-def test_loss_eta_zero_empties_mode():
-    reg = two_modes()
-    ens = WeightedEnsemble.pure(reg, {(1, 0): 1.0})
-    out = ens.apply_loss(reg.modes[0], 0.0)
-    assert out.branch_count == 1
-    assert out.branches[0][1] == {(0, 0): pytest.approx(1.0)}
-
-
-def _number_distribution(ens, mode):
-    return {mo.outcome[0]: mo.probability for mo in ens.measure((mode,), 1.0)}
+def density_matrix(ens):
+    """sum_b w_b a_b(x) a_b(y)* as a {(x, y): entry} map."""
+    rho = {}
+    for w, amps in ens.branches:
+        for x, ax in amps.items():
+            for y, ay in amps.items():
+                rho[x, y] = rho.get((x, y), 0.0) + w * ax * ay.conjugate()
+    return rho
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_loss_composition(seed):
-    # apply_loss(e1) then apply_loss(e2) must equal apply_loss(e1 e2) in
-    # all measurement statistics on one-photon states.
-    rng = np.random.default_rng(100 + seed)
-    reg = two_modes()
-    a = complex(rng.normal(), rng.normal())
-    b = complex(rng.normal(), rng.normal())
-    nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    e1, e2 = rng.uniform(0.1, 1.0, size=2)
-    ens = WeightedEnsemble.pure(reg, {(1, 0): a / nrm, (0, 1): b / nrm})
-    seq = ens.apply_loss(reg.modes[0], e1).apply_loss(reg.modes[0], e2)
-    combined = ens.apply_loss(reg.modes[0], e1 * e2)
-    for mode in reg:
-        da = _number_distribution(seq, mode)
-        db = _number_distribution(combined, mode)
-        assert set(da) == set(db)
-        for k in da:
-            assert da[k] == pytest.approx(db[k], abs=1e-10)
+    # A loss e1 on every measured mode, then detectors of efficiency e2,
+    # equals detectors of efficiency e1 * e2: the same outcomes and
+    # probabilities, and the same conditional density matrices.  Random
+    # one- and two-photon states on two or three modes, some measured.
+    rng = np.random.default_rng(300 + seed)
+    for nmodes, measured in ((2, (0,)), (2, (0, 1)), (3, (0, 2)), (3, (1,))):
+        reg = ModeRegistry(tuple(ModeId.photon(p) for p in "abc"[:nmodes]))
+        amps = {occ: complex(rng.normal(), rng.normal())
+                for occ in product(range(D_MAX + 1), repeat=nmodes) if 1 <= sum(occ) <= 2}
+        ens = WeightedEnsemble.pure(reg, amps)
+        modes = [reg.modes[i] for i in measured]
+        for e1 in (0.0, 1.0, rng.uniform()):
+            e2 = rng.uniform()
+            lossy = ens
+            for mode in modes:
+                lossy = reference_loss(lossy, mode, e1)
+            seq = lossy.measure(modes, e2)
+            combined = ens.measure(modes, e1 * e2)
+            assert [mo.outcome for mo in seq] == [mo.outcome for mo in combined]
+            for a, b in zip(seq, combined):
+                assert a.probability == pytest.approx(b.probability, abs=1e-12)
+                rho_a, rho_b = density_matrix(a.state), density_matrix(b.state)
+                for key in rho_a.keys() | rho_b.keys():
+                    assert abs(rho_a.get(key, 0.0) - rho_b.get(key, 0.0)) <= 1e-12
 
 
-def test_loss_weight_sum_and_no_gain():
-    rng = np.random.default_rng(42)
-    reg = two_modes()
-    ens = random_state(reg, rng)
-    out = ens.apply_loss(reg.modes[1], 0.37)
-    assert sum(w for w, _ in out.branches) == pytest.approx(1.0, abs=1e-10)
-    max_in = max(sum(occ) for _, s in ens.branches for occ in s)
-    max_out = max(sum(occ) for _, s in out.branches for occ in s)
-    assert max_out <= max_in
+def _number_distribution(ens, mode):
+    return {mo.outcome[0]: mo.probability for mo in ens.measure((mode,), 1.0)}
 
 
 # ---------------------------------------------------------------------------

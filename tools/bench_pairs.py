@@ -13,17 +13,21 @@ name git revisions, each exported with ``git archive`` into a temporary
 directory; without ``--change`` the change is this checkout's working
 tree.  Each side's benchmark runs against its own ``src/`` and writes
 its own ``bench/out/``.  An A/A control passes the same revision as
-both sides.  After the pairs, each side runs the Tier-1 tests once,
-``python -m pytest -q -p no:cacheprovider`` with ``PYTHONPATH=src`` in
-its own directory.
+both sides.  After the pairs, each side makes one ``--trace 1`` run per
+workload at the first pair's seed, which measures the per-layer
+metrics, and then runs the Tier-1 tests once, ``python -m pytest -q -p
+no:cacheprovider`` with ``PYTHONPATH=src`` in its own directory.
 
 The output file holds, per workload and side, the run manifests, the
 per-pair metric values with their median and quartiles, and the
 attempted and failed operations of every run; per metric, the number of
 pairs in which the change is lower and the change/parent ratio of the
-medians; per side, the Tier-1 wall seconds and passed and failed
-counts.  The Markdown table of those numbers, and a line with the
-Tier-1 runs under it, are printed to stdout.
+medians; under ``trace1``, per workload and side, the trace-1 run's
+per-layer metrics and failed operations; per side, the Tier-1 wall
+seconds and passed and failed counts.  Printed to stdout: the Markdown
+table of the end-to-end numbers, a second table of the per-layer
+metrics whose values differ between the sides, and a line with the
+Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -59,14 +63,14 @@ def checkout(spec: str | None, scratch: Path, name: str) -> tuple[Path, dict]:
     return target, {"spec": spec, "commit": commit, "dirty": False}
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(side: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One benchmark run; the parts of its results file that pairs compare."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", "0"]
+            "--trace", str(trace)]
     res = subprocess.run(argv, cwd=side, capture_output=True, text=True)
     if res.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {side} exited {res.returncode}: {res.stderr.strip()[-500:]}")
-    with open(side / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json", encoding="utf-8") as fh:
+    with open(side / "bench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json", encoding="utf-8") as fh:
         result = json.load(fh)
     return {
         "seed": seed,
@@ -75,6 +79,7 @@ def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "failed_share": result["failed_share"],
+        "failed_operations": {name: op for name, op in result["operations"].items() if op["failed"]},
     }
 
 
@@ -139,6 +144,27 @@ def markdown_table(report: dict) -> str:
     return "\n".join(lines) + f"\n\nFailed operations, parent / change: {failed}."
 
 
+def trace1_table(trace1: dict) -> str:
+    """Markdown table of the trace-1 per-layer metrics whose values
+    differ between the sides, and a line with the runs' failed operations."""
+    def cell(value) -> str:
+        return "—" if value is None else f"{value:.4g}"
+
+    lines = ["| workload | metric | parent | change | change / parent |", "|---|---|---|---|---|"]
+    for workload, sides in trace1.items():
+        parent, change = sides["parent"]["metrics"], sides["change"]["metrics"]
+        for name in sorted(parent.keys() | change.keys()):
+            p, c = parent.get(name), change.get(name)
+            if p == c:
+                continue
+            ratio = f"{(c / p - 1) * 100:+.1f}%".replace("-", "−") if p and c is not None else "—"
+            lines.append(f"| {workload} | `{name}` | {cell(p)} | {cell(c)} | {ratio} |")
+    failed = "; ".join(
+        f"{workload} " + " / ".join(f"{run['failed']} of {run['attempted']}" for run in sides.values())
+        for workload, sides in trace1.items())
+    return "\n".join(lines) + f"\n\nTrace-1 failed operations, parent / change: {failed}."
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision")
@@ -166,12 +192,18 @@ def main(argv=None) -> int:
                     runs[workload][side].append(run_once(dirs[side], workload, seed, args.seconds))
                     print(f"pair {i + 1}/{args.pairs} {workload} {side}: "
                           f"wall_s {runs[workload][side][-1]['metrics']['wall_s']:.4f}", file=sys.stderr)
+        report["trace1"] = {
+            workload: {side: run_once(dirs[side], workload, args.first_seed + 100 * k, args.seconds, trace=1)
+                       for side in ("parent", "change")}
+            for k, workload in enumerate(workloads)}
         report["tier1"] = {side: run_tier1(dirs[side]) for side in ("parent", "change")}
     for workload in workloads:
         report["workloads"][workload] = {"sides": runs[workload],
                                          "metrics": summarize(runs[workload], declared["end_to_end"])}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(markdown_table(report))
+    print()
+    print(trace1_table(report["trace1"]))
     print(tier1_line(report["tier1"]))
     return 0
 
