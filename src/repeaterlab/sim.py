@@ -19,12 +19,12 @@ Randomness contract: one root 64-bit seed; trial i uses the independent
 substream hash of (seed, i) via ``numpy.random.SeedSequence(seed,
 spawn_key=(i,))``, so results are independent of execution order and a
 rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
-``PCG64`` from ``derive_trial_seed``; ``_trial_states`` yields the same
-states from numpy's seeding arithmetic over arrays of trials.
+``PCG64`` from ``derive_trial_seed``; ``_trial_words`` derives the
+same PCG64 seed words from numpy's hash over arrays of trials.
 ``estimate`` runs its trials in blocks of max(1, floor(``_SLICE_DRAWS``
 p_0 / (2 links[n]))), so a block expects at most ``_SLICE_DRAWS``
 direct preparation draws.  Each trial of a block draws on its own
-Generator, loaded with its state, exactly the variates it draws alone,
+Generator, seeded from its words, exactly the variates it draws alone,
 in the same order; the block does the arithmetic on them once, over
 joined arrays, so the block size never changes an output, and
 ``simulate_trial`` is a block of one.  Within a trial the stream runs
@@ -58,7 +58,7 @@ quadrature at n = 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -100,27 +100,26 @@ def derive_trial_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# numpy's SeedSequence hash constants (pool size 4, 32-bit words) and the
-# PCG64 128-bit LCG multiplier; ``estimate`` repeats their arithmetic over
-# arrays of trials, and the tests hold it equal to numpy's.
+# numpy's SeedSequence hash constants (pool size 4, 32-bit words);
+# ``estimate`` repeats their arithmetic over arrays of trials, and the
+# tests hold it equal to numpy's.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _WORD = 0xFFFFFFFF
-# Trials whose generator states ``estimate`` derives at once.
+# Trials whose seed words ``estimate`` derives at once.
 _SEED_CHUNK = 1024
 
 
-class _ZeroSeed(np.random.bit_generator.ISeedSequence):
-    """Seeds the Generators that ``estimate`` loads a state into before
-    any draw, without the ``SeedSequence`` hashing that state overwrites."""
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Hands ``PCG64`` one trial's four seed words from ``_trial_words``,
+    which its constructor would otherwise draw from ``SeedSequence``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
-
-
-_ZERO_SEED = _ZeroSeed()
+        return self.words
 
 
 def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
@@ -160,9 +159,9 @@ def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.nda
     return state
 
 
-def _trial_states(root_seed: int, start: int, stop: int) -> Iterator[dict]:
-    """Yield ``PCG64(derive_trial_seed(root_seed, i)).state`` for i in
-    [start, stop).
+def _trial_words(root_seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seed words of ``derive_trial_seed(root_seed, i)`` for i in
+    [start, stop), one uint64 row of four per trial.
 
     The root's words are zero-padded to the pool size, as numpy pads
     them when a spawn key follows; an index of 2^32 or more is two
@@ -170,10 +169,9 @@ def _trial_states(root_seed: int, start: int, stop: int) -> Iterator[dict]:
     words, least significant first, are the entropy of PCG64's
     ``SeedSequence(seed)``: numpy reads a seed below 2^32 as one word,
     which mixes like the two words (seed, 0) since missing pool words
-    hash as zeros.  PCG64 takes four 64-bit words from it, the initial
-    state (high, low) and the stream (high, low), then runs its two-step
-    ``srandom``: inc = 2 stream + 1, state = (inc + initial) * mult +
-    inc, modulo 2^128.
+    hash as zeros.  A row holds the four 64-bit words PCG64 takes from
+    it, ``generate_state(4, np.uint64)``: the initial state (high, low)
+    and the stream (high, low).
     """
     if root_seed < 0:
         raise ValueError(f"root seed must be a non-negative integer, got {root_seed}")
@@ -189,13 +187,8 @@ def _trial_states(root_seed: int, start: int, stop: int) -> Iterator[dict]:
     if start >= 2**32:
         words.append((index >> np.uint64(32)).astype(np.uint32))
     state_words = _seed_sequence_state(_seed_sequence_state(words, 2), 8)
-    wide = [low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
-            for low, high in zip(state_words[0::2], state_words[1::2])]
-    mask = (1 << 128) - 1
-    for init_high, init_low, stream_high, stream_low in zip(*(w.tolist() for w in wide)):
-        inc = ((stream_high << 64 | stream_low) << 1 | 1) & mask
-        state = ((init_high << 64 | init_low) + inc) * _PCG64_MULT + inc & mask
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.stack([low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
+                     for low, high in zip(state_words[0::2], state_words[1::2])], axis=1)
 
 
 # Requests expecting more elementary links than this are sampled in
@@ -434,10 +427,10 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     """Aggregate ``trials`` independent trials with substream seeding.
 
     Trial i runs exactly as ``simulate_trial(params, policy,
-    derive_trial_seed(seed, i))``: ``_trial_states`` yields the generator
-    states ``_SEED_CHUNK`` trials at a time, a block's states are loaded
-    into one reused Generator per trial, and the sampler keeps the run's
-    attempt totals.
+    derive_trial_seed(seed, i))``: ``_trial_words`` derives the seed
+    words ``_SEED_CHUNK`` trials at a time, numpy's ``PCG64`` constructor
+    seeds each trial's Generator from its words, and the sampler keeps the
+    run's attempt totals.
     Raises SimulationGuardError if the mean or the standard error of the
     trial times is not a finite float.
     """
@@ -449,17 +442,14 @@ def estimate(params: ProtocolParams, policy: SimPolicy, trials: int, seed: int) 
     except MemoryError as exc:
         raise SimulationGuardError(f"{trials} trials need {8.0 * trials:.3g} bytes for their total times, "
                                    "more than can be allocated") from exc
-    # Trial i's state, loaded into its block's Generator before the block runs.
-    states = (state for start in range(0, trials, _SEED_CHUNK)
-              for state in _trial_states(seed, start, min(start + _SEED_CHUNK, trials)))
-    pool = [np.random.Generator(np.random.PCG64(_ZERO_SEED)) for _ in range(min(sample.block, trials))]
+    # Trial i's seed words, which seed its Generator when its block runs.
+    words = (row for start in range(0, trials, _SEED_CHUNK)
+             for row in _trial_words(seed, start, min(start + _SEED_CHUNK, trials)))
     # Trial times near the float range overflow in the sampler, their sum
     # or their sum of squares; the check below refuses such a run.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, trials, sample.block):
-            rngs = pool[:trials - start]
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
+            rngs = [np.random.Generator(np.random.PCG64(_Words(row))) for row in islice(words, sample.block)]
             totals[start:start + len(rngs)] = sample(rngs)
         p50, p90, p99 = _percentiles(totals)
         mean = float(np.mean(totals))

@@ -50,26 +50,36 @@ def test_tier1_line_names_both_sides():
         "Tier-1, parent / change: 437 passed, 0 failed in 50.0 s / 440 passed, 1 failed in 49.5 s.")
 
 
+PER_LAYER = [{"name": "optics.branch_count.link", "unit": "count", "better": "lower"},
+             {"name": "optics.branch_count.swap", "unit": "count", "better": "lower"},
+             {"name": "sim.mc_oracle_z.n1", "unit": "z", "better": "lower"},
+             {"name": "optics.link_pipeline_ms", "unit": "ms", "better": "lower"},
+             {"name": "rates.t_total_us", "unit": "us", "better": "lower"}]
+
+
 def test_trace1_table_lists_only_metrics_that_differ():
+    # Only differing counts and z-scores are listed; a differing timing
+    # and metrics that BENCHMARK.json does not declare are counted.
     def run(metrics, failed=0):
         return {"metrics": metrics, "attempted": 12, "failed": failed}
 
     trace1 = {"w": {"parent": run({"optics.branch_count.link": 11.0, "optics.link_pipeline_ms": 2.0,
-                                   "rates.t_total_us": 3.5, "old.metric": 1.0}),
+                                   "rates.t_total_us": 3.5, "sim.mc_oracle_z.n1": -0.5, "old.metric": 1.0}),
                     "change": run({"optics.branch_count.link": 1.0, "optics.link_pipeline_ms": 0.5,
-                                   "rates.t_total_us": 3.5, "new.metric": 0.0}, failed=2)}}
-    lines = bench_pairs.trace1_table(trace1).splitlines()
+                                   "rates.t_total_us": 3.5, "sim.mc_oracle_z.n1": 0.25, "new.metric": 0.0},
+                                  failed=2)}}
+    lines = bench_pairs.trace1_table(trace1, PER_LAYER).splitlines()
     assert lines[:2] == ["| workload | metric | parent | change | change / parent |", "|---|---|---|---|---|"]
-    assert lines[2:6] == [
-        "| w | `new.metric` | — | 0 | — |",
-        "| w | `old.metric` | 1 | — | — |",
+    assert lines[2:4] == [
         "| w | `optics.branch_count.link` | 11 | 1 | −90.9% |",
-        "| w | `optics.link_pipeline_ms` | 2 | 0.5 | −75.0% |",
+        "| w | `sim.mc_oracle_z.n1` | -0.5 | 0.25 | −150.0% |",
     ]
-    assert lines[6:] == ["", "Trace-1 failed operations, parent / change: w 0 of 12 / 2 of 12."]
+    assert lines[4:] == ["", "Trace-1 failed operations, parent / change: w 0 of 12 / 2 of 12.",
+                         "3 other trace-1 metrics differ; one run a side cannot resolve them."]
 
 
 def test_trace1_table_of_equal_runs_has_no_rows():
     same = {"metrics": {"optics.branch_count.swap": 9.0}, "attempted": 3, "failed": 0}
-    table = bench_pairs.trace1_table({"w": {"parent": same, "change": same}})
-    assert table.splitlines()[2:] == ["", "Trace-1 failed operations, parent / change: w 0 of 3 / 0 of 3."]
+    table = bench_pairs.trace1_table({"w": {"parent": same, "change": same}}, PER_LAYER)
+    assert table.splitlines()[2:] == ["", "Trace-1 failed operations, parent / change: w 0 of 3 / 0 of 3.",
+                                      "0 other trace-1 metrics differ; one run a side cannot resolve them."]

@@ -17,8 +17,9 @@ from repeaterlab.sim import (
     _percentiles,
     _SEED_CHUNK,
     _SLICE_DRAWS,
-    _trial_states,
+    _trial_words,
     _TrialSampler,
+    _Words,
     compare_analytic,
     derive_trial_seed,
     estimate,
@@ -369,7 +370,9 @@ def test_bulk_seeding_matches_numpy(root):
         seeds = [derive_trial_seed(root, i) for i in range(start, stop)]
         assert seeds == [int(np.random.SeedSequence(root, spawn_key=(i,)).generate_state(1, np.uint64)[0])
                          for i in range(start, stop)]
-        assert list(_trial_states(root, start, stop)) == [np.random.PCG64(seed).state for seed in seeds]
+        words = _trial_words(root, start, stop)
+        assert words.shape == (stop - start, 4)
+        assert [np.random.PCG64(_Words(w)).state for w in words] == [np.random.PCG64(seed).state for seed in seeds]
 
 
 def _draws(rng):
@@ -378,16 +381,25 @@ def _draws(rng):
             rng.poisson(40.0, size=3).tolist())
 
 
-def test_reseeded_generator_draws_like_a_fresh_one():
-    # One Generator re-seeded through its state dict draws what a fresh
-    # Generator(PCG64(s)) draws, even after it buffered a 32-bit half word
-    # and cached binomial set-up under the previous state.
-    rng = np.random.Generator(np.random.PCG64(0))
-    for i, state in enumerate(_trial_states(7, 0, 4)):
-        rng.integers(0, 2**16, dtype=np.uint32)
-        rng.binomial(1000, 0.3)
-        rng.bit_generator.state = state
+def test_generator_from_bulk_words_draws_like_a_fresh_one():
+    # A Generator built from a trial's bulk seed words draws what a fresh
+    # Generator(PCG64(s)) draws.  Each trial gets a new Generator, so no
+    # buffered 32-bit half word or cached binomial set-up can carry over
+    # from another trial's stream.
+    for i, words in enumerate(_trial_words(7, 0, 4)):
+        rng = np.random.Generator(np.random.PCG64(_Words(words)))
         assert _draws(rng) == _draws(np.random.Generator(np.random.PCG64(derive_trial_seed(7, i))))
+
+
+@pytest.mark.parametrize("params, trials", [(N0, 300), (N1, 100), (N4, 5)], ids=["n0", "n1", "n4"])
+def test_seed_chunk_never_changes_an_output(monkeypatch, params, trials):
+    # Blocks of 70 (n = 0), 11 (n = 1) and 1 (n = 4) trials take their seed
+    # words from chunks of 1, 7 and 1,024 trials, so blocks straddle chunks.
+    results = []
+    for chunk in (1, 7, 1024):
+        monkeypatch.setattr(sim, "_SEED_CHUNK", chunk)
+        results.append(estimate(params, OFF, trials, 11))
+    assert results[0] == results[1] == results[2]
 
 
 def test_bulk_seeding_rejects_negative_root():

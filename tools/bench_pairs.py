@@ -26,8 +26,9 @@ medians; under ``trace1``, per workload and side, the trace-1 run's
 per-layer metrics and failed operations; per side, the Tier-1 wall
 seconds and passed and failed counts.  Printed to stdout: the Markdown
 table of the end-to-end numbers, a second table of the per-layer
-metrics whose values differ between the sides, and a line with the
-Tier-1 runs.
+metrics whose values differ between the sides, listing only counts and
+z-scores (which one run reproduces) and counting the rest, and a line
+with the Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -144,25 +145,35 @@ def markdown_table(report: dict) -> str:
     return "\n".join(lines) + f"\n\nFailed operations, parent / change: {failed}."
 
 
-def trace1_table(trace1: dict) -> str:
-    """Markdown table of the trace-1 per-layer metrics whose values
-    differ between the sides, and a line with the runs' failed operations."""
+def trace1_table(trace1: dict, per_layer: list[dict]) -> str:
+    """Markdown table of the trace-1 per-layer metrics whose values differ
+    between the sides and whose ``per_layer`` unit is ``count`` or ``z``,
+    a line with the runs' failed operations, and a closing line with how
+    many other metrics differ."""
     def cell(value) -> str:
         return "—" if value is None else f"{value:.4g}"
 
+    # One run reproduces a count or a z-score exactly; a timing, rate or
+    # share from one run a side is noise until pairs give it a spread.
+    exact = {m["name"] for m in per_layer if m["unit"] in ("count", "z")}
     lines = ["| workload | metric | parent | change | change / parent |", "|---|---|---|---|---|"]
+    others = 0
     for workload, sides in trace1.items():
         parent, change = sides["parent"]["metrics"], sides["change"]["metrics"]
         for name in sorted(parent.keys() | change.keys()):
             p, c = parent.get(name), change.get(name)
             if p == c:
                 continue
+            if name not in exact:
+                others += 1
+                continue
             ratio = f"{(c / p - 1) * 100:+.1f}%".replace("-", "−") if p and c is not None else "—"
             lines.append(f"| {workload} | `{name}` | {cell(p)} | {cell(c)} | {ratio} |")
     failed = "; ".join(
         f"{workload} " + " / ".join(f"{run['failed']} of {run['attempted']}" for run in sides.values())
         for workload, sides in trace1.items())
-    return "\n".join(lines) + f"\n\nTrace-1 failed operations, parent / change: {failed}."
+    return "\n".join(lines + ["", f"Trace-1 failed operations, parent / change: {failed}.",
+                              f"{others} other trace-1 metrics differ; one run a side cannot resolve them."])
 
 
 def main(argv=None) -> int:
@@ -203,7 +214,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(markdown_table(report))
     print()
-    print(trace1_table(report["trace1"]))
+    print(trace1_table(report["trace1"], declared["per_layer"]))
     print(tier1_line(report["tier1"]))
     return 0
 
