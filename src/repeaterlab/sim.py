@@ -22,28 +22,29 @@ rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
 ``PCG64`` from ``derive_trial_seed``; ``_trial_words`` derives the
 same PCG64 seed words from numpy's hash over arrays of trials.
 ``estimate`` runs its trials in blocks of max(1, floor(``_SLICE_DRAWS``
-p_0 / (2 links[n]))), so a block expects at most ``_SLICE_DRAWS``
-direct preparation draws.  Each trial of a block draws on its own
+p_0 / (2 links[n]))), so a block of several trials expects at most
+``_SLICE_DRAWS`` preparation draws.  Each trial of a block draws on its own
 Generator, seeded from its words, exactly the variates it draws alone,
 in the same order; the block does the arithmetic on them once, over
 joined arrays, so the block size never changes an output, and
-``simulate_trial`` is a block of one.  Within a trial the stream runs
+``simulate_trial`` draws a trial as ``estimate`` does.  Within a trial the stream runs
 top-down: one Geom(p_swap) attempt count per requested link at each
-level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  A
-request needing at most ``_SLICE_DRAWS`` preparation draws (2*sum(K))
-draws them one by one, as two rows of K waits.  Below p_l = 1/3 they are
-standard exponentials E, each wait ceil(E / -log1p(-p_l)), which is how
-``Generator.geometric`` draws there (bit for bit, checked on numpy
-2.4.6); from 1/3 up ``Generator.geometric`` draws them.  A larger
-request draws each link's exact compound sums: gamma and Poisson
-variates for the launches' minima, the first tie's position, a binomial
-count of later ties if that comes by launch K, and gamma and Poisson
-variates for the untied launches' excess.  Requests expecting more than
-``_SLICE_LINKS`` elementary links (links[L] per level-L link) are sampled
-in halves: a list of several trials' requests by trials, one trial's
-request by links, so a trial is split as it would be alone.  The two
-constants fix the stream: n = 0 over 80 km and n = 1 over 160 km draw
-one by one, n = 4 over 1280 km 99.5% compound.
+level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  The
+block size chooses the run's level-0 sampler once.  A run of blocks of
+several trials draws every request's preparations one by one, as two
+rows of K waits.  Below p_l = 1/3 they are standard exponentials E,
+each wait ceil(E / -log1p(-p_l)), which is how ``Generator.geometric``
+draws there (bit for bit, checked on numpy 2.4.6); from 1/3 up
+``Generator.geometric`` draws them.  A run of one-trial blocks draws
+each link's exact compound sums: gamma and Poisson variates for the
+launches' minima, the first tie's position, a binomial count of later
+ties if that comes by launch K, and gamma and Poisson variates for the
+untied launches' excess.  Requests expecting more than ``_SLICE_LINKS``
+elementary links (links[L] per level-L link) are sampled in halves: a
+list of several trials' requests by trials, one trial's request by
+links, so a trial is split as it would be alone.  The two constants fix
+the stream: n = 0 over 80 km and n = 1 over 160 km draw one by one, n = 0
+over 160 km and n = 4 over 1280 km compound.
 
 ``rates.sampling_plan``, which ``_TrialSampler`` calls once per run, is
 the numpy-free owner of the sampling guards and of links[L] = (2/p_swap)^L,
@@ -194,12 +195,11 @@ def _trial_words(root_seed: int, start: int, stop: int) -> np.ndarray:
 # Requests expecting more elementary links than this are sampled in
 # halves, so a level-0 request holds at most this many links.
 _SLICE_LINKS = 2**16
-# A level-0 request needing more preparation draws than this draws its
-# links' compound sums: about 65 us for five numpy calls with array
-# parameters at 11-15 us each, plus 0.3 us a link, against 25 ns a draw.
-# 2^14 keeps n = 0 over 80 km and n = 1 over 160 km one by one, and n = 4
-# over 1280 km compound.  A block of trials expects at most this many
-# preparation draws, or holds one trial.
+# A block of trials expects at most this many preparation draws, or holds
+# one trial and draws its links' compound sums: about 65 us for five numpy
+# calls with array parameters at 11-15 us each, plus 0.3 us a link,
+# against 25 ns a draw one by one.  2^14 keeps n = 0 over 80 km and n = 1
+# over 160 km one by one, and n = 4 over 1280 km compound.
 _SLICE_DRAWS = 2**14
 
 
@@ -300,46 +300,32 @@ class _TrialSampler:
         """Pulse slots of the links with ``launches[j]`` launches each,
         drawn from ``rngs[j]``, in turn; ``totals[j]`` is their sum.
 
-        A request of at most ``_SLICE_DRAWS`` preparation draws fills two
-        rows of the block's draws, turned into Geom(p_l) waits, maxima,
-        link sums and a draw total once for the block; a larger one draws
-        its links' compound sums (``_compound_pulses``).
+        The run's block size chooses the sampler: a block of one trial
+        draws its links' compound sums (``_compound_pulses``); a larger
+        block fills two rows of draws per request, turned into Geom(p_l)
+        waits, maxima, link sums and a draw total once for the block.
         """
-        pieces, direct = [], []
-        for rng, k, t in zip(rngs, launches, totals):
-            if 2 * t <= _SLICE_DRAWS:
-                direct.append((rng, k, t))
-                pieces.append(None)
-            else:
-                pulses, draws = _compound_pulses(rng, self.p_l, k)
-                self.prep_attempts += draws
-                pieces.append(pulses)
-        if direct:
-            waits = np.empty((2, sum(t for _, _, t in direct)))
-            offset = 0
-            for rng, _, t in direct:
-                row = waits[:, offset:offset + t]
-                if self.scale:
-                    rng.standard_exponential(out=row[0])
-                    rng.standard_exponential(out=row[1])
-                else:
-                    row[:] = rng.geometric(self.p_l, size=(2, t))
-                offset += t
+        if self.block == 1:
+            pulses, draws = _compound_pulses(rngs[0], self.p_l, launches[0])
+            self.prep_attempts += draws
+            return pulses
+        waits = np.empty((2, sum(totals)))
+        offset = 0
+        for rng, t in zip(rngs, totals):
+            row = waits[:, offset:offset + t]
             if self.scale:
-                waits /= self.scale
-                np.ceil(waits, out=waits)
-            waits = waits.astype(np.int64)
-            self.prep_attempts += int(np.add.reduce(waits, None))
-            k = direct[0][1] if len(direct) == 1 else np.concatenate([k for _, k, _ in direct])
-            pulses = np.add.reduceat(np.maximum(waits[0], waits[1]), k.cumsum() - k)
-            if len(direct) == len(pieces):
-                return pulses
-            link = 0  # hand each direct request its links
-            for j, k in enumerate(launches):
-                if pieces[j] is None:
-                    pieces[j] = pulses[link:link + k.size]
-                    link += k.size
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                rng.standard_exponential(out=row[0])
+                rng.standard_exponential(out=row[1])
+            else:
+                row[:] = rng.geometric(self.p_l, size=(2, t))
+            offset += t
+        if self.scale:
+            waits /= self.scale
+            np.ceil(waits, out=waits)
+        waits = waits.astype(np.int64)
+        self.prep_attempts += int(np.add.reduce(waits, None))
+        k = launches[0] if len(launches) == 1 else np.concatenate(launches)
+        return np.add.reduceat(np.maximum(waits[0], waits[1]), k.cumsum() - k)
 
 
 def simulate_trial(

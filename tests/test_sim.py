@@ -16,7 +16,6 @@ from repeaterlab.sim import (
     _expected_max_slots,
     _percentiles,
     _SEED_CHUNK,
-    _SLICE_DRAWS,
     _trial_words,
     _TrialSampler,
     _Words,
@@ -36,6 +35,8 @@ ON = SimPolicy(swap_comm_time=True)
 N0 = paper_defaults().with_overrides(L=80.0, n=0)
 N1 = paper_defaults().with_overrides(L=160.0, n=1)
 N4 = paper_defaults().with_overrides(L=1280.0, n=4)
+# p_0 = 2.28e-4: a block holds one trial, drawn from compound sums.
+N0_160KM = paper_defaults().with_overrides(L=160.0, n=0)
 # The paper's preparation probability, about 6.64e-4.
 P_L = rates.stage_probabilities(paper_defaults())[0]
 
@@ -154,6 +155,23 @@ def test_single_link_draws_are_sliced():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("l_km", [150.0, 158.0])
+def test_direct_draws_stay_small(l_km):
+    # Of the runs drawn one by one, those with blocks of 2 have the most
+    # preparation draws a trial: 2/p_0 = 5,574 at n = 0 over 150 km and
+    # 8,019 over 158 km, the longest link with blocks of 2.  Their
+    # heavy-tailed requests hold every wait as a float.
+    params = paper_defaults().with_overrides(L=l_km, n=0)
+    assert _TrialSampler(params, OFF).block == 2
+    tracemalloc.start()
+    try:
+        estimate(params, OFF, 400, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def _moments(x):
     """(mean, SE) and (variance, SE) of a sample."""
     x = np.asarray(x, dtype=float)
@@ -175,26 +193,29 @@ def _assert_agree(direct, compound, links=1):
     pytest.param(P_L, 116, id="paper"),
 ])
 def test_level0_paths_agree_in_distribution(p_l, k):
-    # The same launch counts through both level-0 paths: one link per
-    # request is drawn pulse by pulse, 600 links per request from compound
-    # sums.  At p_l = 0.99 most links have no untied launch (B = 0); at the
-    # paper's p_l and about 1/p_0 = 116 launches, as at n = 4, most have no
-    # tie.  p_l = 0.3 and the paper's p_l draw pulse waits by inverting
-    # exponentials, p_l = 0.99 with Generator.geometric.
+    # The same launch counts through both level-0 samplers: one link per
+    # request is drawn pulse by pulse in a run of blocks (p_0 = 1/2), 600
+    # links per request from compound sums in a run of one-trial blocks
+    # (p_0 = 1e-6).  At p_l = 0.99 most links have no untied launch
+    # (B = 0); at the paper's p_l and about 1/p_0 = 116 launches, as at
+    # n = 4, most have no tie.  p_l = 0.3 and the paper's p_l draw pulse
+    # waits by inverting exponentials, p_l = 0.99 with Generator.geometric.
     links = 600
     launches = np.full(links, k)
-    assert 2 * k <= _SLICE_DRAWS < 2 * k * links
     rng = np.random.default_rng(8128)
-    sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
+    direct_sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
+    compound_sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 1e-6, 1.0))
+    assert direct_sampler.block > 1
+    assert compound_sampler.block == 1
 
-    def request(launches):
+    def request(sampler, launches):
         """A request's link pulses and its preparation draws."""
         before = sampler.prep_attempts
         pulses = sampler._pulses([rng], [launches], [int(launches.sum())])
         return pulses, sampler.prep_attempts - before
 
-    direct = [request(launches[:1]) for _ in range(20_000)]
-    compound = [request(launches) for _ in range(1500)]
+    direct = [request(direct_sampler, launches[:1]) for _ in range(20_000)]
+    compound = [request(compound_sampler, launches) for _ in range(1500)]
     _assert_agree([pulses[0] for pulses, _ in direct], np.concatenate([pulses for pulses, _ in compound]))
     # Only a request's total prep attempts are returned.
     _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
@@ -217,7 +238,6 @@ class _NoMixing:
 
 def _untied_counts(p_l, k, links, calls, seed):
     """Untied launches of ``links * calls`` compound links of k launches."""
-    assert 2 * k * links > _SLICE_DRAWS
     rng, launches = _NoMixing(seed), np.full(links, k)
     return np.concatenate([_compound_pulses(rng, p_l, launches)[0] - k for _ in range(calls)])
 
@@ -242,30 +262,35 @@ def test_compound_untied_count_is_binomial():
 
 
 def test_n4_requests_draw_compound_sums(monkeypatch):
-    # At the paper defaults, n = 4 over 1280 km, nearly every level-0
-    # request needs more than _SLICE_DRAWS preparation draws and so is
-    # drawn from compound sums, not pulse by pulse.
-    draws = []
-    pulses = _TrialSampler._pulses
+    # At the paper defaults, n = 4 over 1280 km, a block holds one trial,
+    # so every level-0 request is drawn from compound sums, not pulse by
+    # pulse.
+    requests, compound = [], []
+    pulses, compound_pulses = _TrialSampler._pulses, sim._compound_pulses
 
     def spy(self, rngs, launches, totals):
-        draws.extend(2 * t for t in totals)
+        requests.extend(totals)
         return pulses(self, rngs, launches, totals)
 
+    def compound_spy(rng, p_l, launches):
+        compound.append(int(launches.sum()))
+        return compound_pulses(rng, p_l, launches)
+
     monkeypatch.setattr(_TrialSampler, "_pulses", spy)
+    monkeypatch.setattr(sim, "_compound_pulses", compound_spy)
     estimate(paper_defaults(), OFF, 300, 606)
-    assert len(draws) >= 300
-    assert np.mean(np.array(draws) <= _SLICE_DRAWS) < 0.02
+    assert len(requests) >= 300
+    assert compound == requests
 
 
 def test_compound_single_link_matches_closed_form():
-    # About 1e6 launches per link: nearly every trial draws its link from
-    # compound sums, and the mean total time is (E[max of two prep waits]
-    # slot + flight) / p_0.
+    # About 1e6 launches per link: a block holds one trial, which draws its
+    # link from compound sums, and the mean total time is (E[max of two
+    # prep waits] slot + flight) / p_0.
     p_l, p_0 = 0.3, 1e-6
+    assert _TrialSampler(N0, OFF, stage_probs=(p_l, p_0, 1.0)).block == 1
     trials = [simulate_trial(N0, OFF, derive_trial_seed(31, i), stage_probs=(p_l, p_0, 1.0))
               for i in range(2000)]
-    assert sum(2 * t.counts.link_attempts > _SLICE_DRAWS for t in trials) > 0.9 * len(trials)
     times = np.array([t.total_time for t in trials])
     closed = (expected_pulses_both_ready(p_l) / N0.r + N0.l0 / N0.c) / p_0
     assert abs(times.mean() - closed) <= 4.0 * times.std(ddof=1) / math.sqrt(len(times))
@@ -274,9 +299,9 @@ def test_compound_single_link_matches_closed_form():
 def test_compound_unit_prep_probability():
     # p_l = 1: every launch takes one pulse and two preparation draws, so
     # no launch is untied (B = 0) and both negative binomials are 0.
+    assert _TrialSampler(N0, OFF, stage_probs=(1.0, 1e-6, 1.0)).block == 1
     res = simulate_trial(N0, OFF, 41, stage_probs=(1.0, 1e-6, 1.0))
     k = res.counts.link_attempts
-    assert 2 * k > _SLICE_DRAWS
     assert res.counts.prep_attempts == 2 * k
     assert res.total_time == k * (1.0 / N0.r) + k * (N0.l0 / N0.c)
 
@@ -308,20 +333,22 @@ def test_single_trial_estimate():
     (N1, OFF, _SEED_CHUNK + 7, None),
     (paper_defaults().with_overrides(L=1280.0, n=4), ON, _SEED_CHUNK + 7, None),
     (paper_defaults().with_overrides(L=150.0, n=0), OFF, _SEED_CHUNK + 7, None),
+    (N0_160KM, OFF, _SEED_CHUNK + 7, None),
     (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None),
     (N1, OFF, 300, 8),
     (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None),
-], ids=["n0", "n1", "n4-swap-comm", "n0-150km-mixed", "ideal-geometric", "n1-halved", "n6-split"])
+], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-160km-compound", "ideal-geometric", "n1-halved",
+        "n6-split"])
 def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links):
     # estimate derives its generator states in bulk and samples its trials
     # in blocks; a replay of its trials one by one through
     # derive_trial_seed and simulate_trial reproduces every output
     # exactly.  The cases cover more than one chunk of states; blocks of
-    # 2 at n = 0 over 150 km, where about 5% of the requests are compound,
-    # so direct and compound requests mix in a block; p_l = p_swap = 1/2,
-    # drawn by Generator.geometric; lists halved by trials and then by
-    # links (2^3 links a request); and n = 6 over 1280 km, whose
-    # 50,000-link requests are halved.
+    # 2 at n = 0 over 150 km, whose heavy-tailed requests are all drawn
+    # one by one; single-trial compound blocks at n = 0 over 160 km;
+    # p_l = p_swap = 1/2, drawn by Generator.geometric; lists halved by
+    # trials and then by links (2^3 links a request); and n = 6 over
+    # 1280 km, whose 50,000-link requests are halved.
     if slice_links is not None:
         monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
     res = estimate(params, policy, trials, 123)
@@ -422,15 +449,15 @@ def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
 
 
 @pytest.mark.parametrize("policy, mean", [
-    (OFF, 22.90780391352041),
-    (ON, 23.093457177551016),
+    (OFF, 22.907821684183673),
+    (ON, 23.09347494821429),
 ], ids=["off", "swap-comm"])
 def test_estimate_compound_draws_pinned(policy, mean):
-    # Nearly every level-0 request at n = 4 over 1280 km is drawn from
-    # compound sums; the policy adds delays but draws nothing.
+    # Every level-0 request at n = 4 over 1280 km is drawn from compound
+    # sums; the policy adds delays but draws nothing.
     res = estimate(N4, policy, 200, 7)
     assert res.mean == mean
-    assert res.prep_attempts == 102595743947
+    assert res.prep_attempts == 102596125399
     assert res.link_attempts == 34074466
     assert res.swap_attempts == (147026, 24042, 3929, 630)
 
@@ -686,6 +713,37 @@ def test_oracle_n1_agrees_with_simulation():
     res = estimate(N1, OFF, trials, 103)
     oracle = exact_expected_time_small(N1, OFF)
     assert abs(res.mean - oracle) <= 3.0 * res.std_error
+
+
+def _assert_prep_draws_per_launch(res, params):
+    """Each launch takes two iid Geom(p_l) preparations: 2/p_l draws with
+    variance 2(1 - p_l)/p_l^2, whatever the launch counts.  The heralding
+    flights and the launch counts dominate the trial times, so this sees a
+    level-0 sampler's bias that the mean cannot."""
+    p_l = rates.stage_probabilities(params)[0]
+    per_launch = res.prep_attempts / res.link_attempts
+    assert abs(per_launch - 2.0 / p_l) <= 3.0 * math.sqrt(2.0 * (1.0 - p_l) / res.link_attempts) / p_l
+
+
+def test_oracle_n0_compound_blocks_agree_with_simulation():
+    # p_0 = 2.28e-4 at 160 km: blocks of one trial, drawn from compound
+    # sums, against the closed form.
+    assert _TrialSampler(N0_160KM, OFF).block == 1
+    res = estimate(N0_160KM, OFF, 20_000, 113)
+    oracle = exact_expected_time_small(N0_160KM, OFF)
+    assert abs(res.mean - oracle) <= 3.0 * res.std_error
+    _assert_prep_draws_per_launch(res, N0_160KM)
+
+
+def test_oracle_n1_compound_blocks_agree_with_simulation():
+    # n = 1 over 240 km: a 23,520-slot flight, blocks of one trial, drawn
+    # from compound sums, against the characteristic-function oracle.
+    params = paper_defaults().with_overrides(L=240.0, n=1)
+    assert _TrialSampler(params, OFF).block == 1
+    res = estimate(params, OFF, 10_000, 127)
+    oracle = exact_expected_time_small(params, OFF)
+    assert abs(res.mean - oracle) <= 3.0 * res.std_error
+    _assert_prep_draws_per_launch(res, params)
 
 
 def test_oracle_n1_swap_comm_agrees_with_simulation():
