@@ -37,9 +37,12 @@ each wait ceil(E / -log1p(-p_l)), which is how ``Generator.geometric``
 draws there (bit for bit, checked on numpy 2.4.6); from 1/3 up
 ``Generator.geometric`` draws them.  A run of one-trial blocks draws
 each link's exact compound sums: gamma and Poisson variates for the
-launches' minima, the first tie's position, a binomial count of later
-ties if that comes by launch K, and gamma and Poisson variates for the
-untied launches' excess.  Requests expecting more than ``_SLICE_LINKS``
+launches' minima, the tied launches, and gamma and Poisson variates for
+the untied launches' excess.  A request expecting at most one tie a link
+draws its ties as the Geom(s) gaps of one Bernoulli(s) process over all
+its launches; one expecting more draws each link's first tie and a
+binomial count of later ones, so neither holds more than O(links)
+numbers.  Requests expecting more than ``_SLICE_LINKS``
 elementary links (links[L] per level-L link) are sampled in halves: a
 list of several trials' requests by trials, one trial's request by
 links, so a trial is split as it would be alone.  The two constants fix
@@ -196,9 +199,9 @@ def _trial_words(root_seed: int, start: int, stop: int) -> np.ndarray:
 # halves, so a level-0 request holds at most this many links.
 _SLICE_LINKS = 2**16
 # A block of trials expects at most this many preparation draws, or holds
-# one trial and draws its links' compound sums: about 65 us for five numpy
-# calls with array parameters at 11-15 us each, plus 0.3 us a link,
-# against 25 ns a draw one by one.  2^14 keeps n = 0 over 80 km and n = 1
+# one trial and draws its links' compound sums: 40-65 us for four numpy
+# calls with array parameters at 11-15 us each (five if its ties are drawn
+# per link), plus 0.1-0.3 us a link, against 25 ns a draw one by one.  2^14 keeps n = 0 over 80 km and n = 1
 # over 160 km one by one, and n = 4 over 1280 km compound.
 _SLICE_DRAWS = 2**14
 
@@ -211,16 +214,33 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
     the two ends and counts G1 + G2 draws.  A link's K launches sum min ~
     Geom(1 - q^2) and, unless tied (P = s = p_l/(2 - p_l)), excess ~
     Geom(p_l), as gamma-Poisson negative binomials, which allow a count or
-    odds of 0; max = min + excess and G1 + G2 = max + min.  A link's first
-    tie, at launch Geom(s), brings 1 + Bin(K - first, s) ties if it comes
-    by K.
+    odds of 0; max = min + excess and G1 + G2 = max + min.  The ties are a
+    Bernoulli(s) process over the request's launches, link after link.  A
+    request expecting at most one tie a link draws it as Geom(s) gaps
+    until they pass its launches, each tie counted at the link its
+    position falls in.  One expecting more draws each link's first tie at
+    launch Geom(s), which brings 1 + Bin(K - first, s) ties if it comes
+    by K, so it holds one number a link however many ties it draws.
     """
     q, tie = 1.0 - p_l, p_l / (2.0 - p_l)
     mins = launches + rng.poisson(rng.standard_gamma(launches) * (q * q / (p_l * (2.0 - p_l))))
-    first = rng.geometric(tie, size=launches.size)
-    tied = first <= launches
-    untied = launches - tied
-    untied[tied] -= rng.binomial(launches[tied] - first[tied], tie)
+    ends = launches.cumsum()
+    total = int(ends[-1])
+    expected = total * tie
+    if expected > launches.size:
+        first = rng.geometric(tie, size=launches.size)
+        tied = first <= launches
+        untied = launches - tied
+        untied[tied] -= rng.binomial(launches[tied] - first[tied], tie)
+    else:
+        # Enough gaps that fewer than 1 request in 3,000 draws again,
+        # whatever its expected ties (a Poisson tail bounds theirs).
+        size = int(expected + 4.0 * math.sqrt(expected + 1.0)) + 1
+        positions = rng.geometric(tie, size=size).cumsum()
+        while positions[-1] <= total:
+            positions = np.concatenate((positions, positions[-1] + rng.geometric(tie, size=size).cumsum()))
+        untied = launches - np.bincount(np.searchsorted(ends, positions[positions <= total]),
+                                        minlength=launches.size)
     pulses = mins + untied + rng.poisson(rng.standard_gamma(untied) * (q / p_l))
     return pulses, int(np.add.reduce(pulses)) + int(np.add.reduce(mins))
 

@@ -221,44 +221,107 @@ def test_level0_paths_agree_in_distribution(p_l, k):
     _assert_agree([prep for _, prep in direct], [prep for _, prep in compound], links)
 
 
-class _NoMixing:
+class _Recording:
+    """A Generator that records the names of the methods called on it.
+    Only the per-link tie step draws binomials."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.called = set()
+
+    def __getattr__(self, name):
+        self.called.add(name)
+        return getattr(self.rng, name)
+
+
+class _NoMixing(_Recording):
     """A Generator whose gamma variates are all 0, so both negative
     binomials of the compound level-0 path are 0 and a link's pulses are
     its launches plus its untied launches."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
     def standard_gamma(self, shape):
         return np.zeros(np.shape(shape))
 
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
 
-
-def _untied_counts(p_l, k, links, calls, seed):
-    """Untied launches of ``links * calls`` compound links of k launches."""
+def _untied_counts(p_l, k, links, calls, seed, path):
+    """Untied launches of ``links * calls`` compound links of k launches,
+    whose ties are drawn on ``path``, "gaps" or "per-link"."""
     rng, launches = _NoMixing(seed), np.full(links, k)
-    return np.concatenate([_compound_pulses(rng, p_l, launches)[0] - k for _ in range(calls)])
+    untied = np.concatenate([_compound_pulses(rng, p_l, launches)[0] - k for _ in range(calls)])
+    assert ("binomial" in rng.called) == (path == "per-link")
+    return untied
 
 
 def test_compound_untied_count_is_binomial():
     # A launch is untied with probability 1 - s, s = p_l/(2 - p_l), so a
-    # link of K launches has Binomial(K, 1 - s) untied ones.
+    # link of K launches has Binomial(K, 1 - s) untied ones.  A request
+    # expecting K s <= 1 ties a link draws them as gaps, else per link.
     from scipy.stats import binom, chisquare
 
-    k, p_l = 6, 0.4
-    untied = _untied_counts(p_l, k, 20_000, 10, 61)
-    expected = untied.size * binom.pmf(np.arange(k + 1), k, 1.0 - p_l / (2.0 - p_l))
-    assert chisquare(np.bincount(untied, minlength=k + 1), expected).pvalue > 1e-3
+    for k, p_l, path, seed in [(6, 0.4, "per-link", 61), (6, 0.2, "gaps", 64)]:
+        # K s = 1.5 and 0.67 ties a link, on either side of the switch.
+        untied = _untied_counts(p_l, k, 20_000, 10, seed, path)
+        expected = untied.size * binom.pmf(np.arange(k + 1), k, 1.0 - p_l / (2.0 - p_l))
+        assert chisquare(np.bincount(untied, minlength=k + 1), expected).pvalue > 1e-3
     # The paper's p_l at K = 116: no tie with probability (1 - s)^K = 0.96.
     k, s = 116, P_L / (2.0 - P_L)
-    untied = _untied_counts(P_L, k, 2000, 50, 62)
+    untied = _untied_counts(P_L, k, 2000, 50, 62, "gaps")
     no_tie = (1.0 - s) ** k
     assert abs(np.mean(untied == k) - no_tie) <= 4.0 * math.sqrt(no_tie * (1.0 - no_tie) / untied.size)
     assert abs(untied.mean() - k * (1.0 - s)) <= 4.0 * math.sqrt(k * s * (1.0 - s) / untied.size)
     # p_l = 1: every launch is tied.
-    assert not _untied_counts(1.0, k, 2000, 1, 63).any()
+    assert not _untied_counts(1.0, k, 2000, 1, 63, "per-link").any()
+
+
+def test_compound_request_ties_are_one_bernoulli_process():
+    # The gap path ties each launch of a request independently with
+    # probability s: link i has K_i s ties on average, and a request's
+    # total ties vary as Binomial(sum K, s), sum K s (1 - s).
+    p_l = 0.2
+    s = p_l / (2.0 - p_l)
+    launches = np.array([1, 4, 2, 7, 3, 9, 5, 1])
+    rng = _NoMixing(71)
+    # A link's pulses are 2 K - ties.
+    ties = np.array([2 * launches - _compound_pulses(rng, p_l, launches)[0] for _ in range(20_000)])
+    assert "binomial" not in rng.called
+    se = np.sqrt(launches * s * (1.0 - s) / len(ties))
+    assert np.all(np.abs(ties.mean(axis=0) - launches * s) <= 4.0 * se)
+    (mean, mean_se), (var, var_se) = _moments(ties.sum(axis=1))
+    k = int(launches.sum())
+    assert abs(mean - k * s) <= 4.0 * mean_se
+    assert abs(var - k * s * (1.0 - s)) <= 4.0 * var_se
+
+
+class _EveryLaunchTies(_NoMixing):
+    """A Generator whose Geom variates are all 1."""
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_compound_gaps_of_one_tie_every_launch():
+    # Gaps of 1 place a tie at every launch, up to the request's last,
+    # however few ties the request expects: its links have no untied
+    # launch, so their pulses are their launches.
+    launches = np.array([3, 1, 5, 2, 1])
+    pulses, _ = _compound_pulses(_EveryLaunchTies(73), P_L, launches)
+    assert pulses.tolist() == launches.tolist()
+
+
+def test_compound_gap_draws_stay_small():
+    # 2^14 links of 128 launches at just under one expected tie a link,
+    # the most the gap path draws: its numbers are a few per link, where
+    # one per launch would take 16 MB.
+    s = 0.99 / 128
+    rng = _Recording(79)
+    tracemalloc.start()
+    try:
+        _compound_pulses(rng, 2.0 * s / (1.0 + s), np.full(2**14, 128))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "binomial" not in rng.called
+    assert peak < 4 * 2**20
 
 
 def test_n4_requests_draw_compound_sums(monkeypatch):
@@ -449,15 +512,15 @@ def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
 
 
 @pytest.mark.parametrize("policy, mean", [
-    (OFF, 22.907821684183673),
-    (ON, 23.09347494821429),
+    (OFF, 22.90657706326531),
+    (ON, 23.09221965357143),
 ], ids=["off", "swap-comm"])
 def test_estimate_compound_draws_pinned(policy, mean):
     # Every level-0 request at n = 4 over 1280 km is drawn from compound
     # sums; the policy adds delays but draws nothing.
     res = estimate(N4, policy, 200, 7)
     assert res.mean == mean
-    assert res.prep_attempts == 102596125399
+    assert res.prep_attempts == 102597009667
     assert res.link_attempts == 34074466
     assert res.swap_attempts == (147026, 24042, 3929, 630)
 
@@ -706,6 +769,7 @@ def test_oracle_n0_agrees_with_simulation():
     res = estimate(N0, OFF, trials, 101)
     oracle = exact_expected_time_small(N0, OFF)
     assert abs(res.mean - oracle) <= 3.0 * res.std_error
+    _assert_prep_draws_per_launch(res, N0)
 
 
 def test_oracle_n1_agrees_with_simulation():
@@ -713,6 +777,7 @@ def test_oracle_n1_agrees_with_simulation():
     res = estimate(N1, OFF, trials, 103)
     oracle = exact_expected_time_small(N1, OFF)
     assert abs(res.mean - oracle) <= 3.0 * res.std_error
+    _assert_prep_draws_per_launch(res, N1)
 
 
 def _assert_prep_draws_per_launch(res, params):
@@ -750,6 +815,7 @@ def test_oracle_n1_swap_comm_agrees_with_simulation():
     res = estimate(N1, ON, 20_000, 107)
     oracle = exact_expected_time_small(N1, ON)
     assert abs(res.mean - oracle) <= 3.0 * res.std_error
+    _assert_prep_draws_per_launch(res, N1)
 
 
 def test_oracle_n1_small_scale_against_heavy_simulation():
