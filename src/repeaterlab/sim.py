@@ -31,8 +31,10 @@ joined arrays, so the block size never changes an output, and
 top-down: one Geom(p_swap) attempt count per requested link at each
 level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  The
 block size chooses the run's level-0 sampler once.  A run of blocks of
-several trials draws every request's preparations one by one, as two
-rows of K waits.  Below p_l = 1/3 they are standard exponentials E,
+several trials draws every request's preparations one by one, in one
+call a request, as K pairs of waits: launch k's two ends take the
+request's draws 2k and 2k + 1, as ``Generator.geometric(p_l, size=(K,
+2))`` lays them out.  Below p_l = 1/3 they are standard exponentials E,
 each wait ceil(E / -log1p(-p_l)), which is how ``Generator.geometric``
 draws there (bit for bit, checked on numpy 2.4.6); from 1/3 up
 ``Generator.geometric`` draws them.  A run of one-trial blocks draws
@@ -201,8 +203,9 @@ _SLICE_LINKS = 2**16
 # A block of trials expects at most this many preparation draws, or holds
 # one trial and draws its links' compound sums: 40-65 us for four numpy
 # calls with array parameters at 11-15 us each (five if its ties are drawn
-# per link), plus 0.1-0.3 us a link, against 25 ns a draw one by one.  2^14 keeps n = 0 over 80 km and n = 1
-# over 160 km one by one, and n = 4 over 1280 km compound.
+# per link), plus 0.1-0.3 us a link, against 11-16 ns a draw one by one.
+# 2^14 keeps n = 0 over 80 km and n = 1 over 160 km one by one, and n = 4
+# over 1280 km compound.
 _SLICE_DRAWS = 2**14
 
 
@@ -275,7 +278,9 @@ class _TrialSampler:
         from ``rngs[j]``, for each j in turn.
 
         Failed subtrees restart from scratch, so a link lasts the sum, over
-        its attempts, of the longer of two fresh links one level down.
+        its attempts, of the longer of two fresh links one level down.  An
+        entry's 2t children are contiguous, and its round g pairs children
+        2g and 2g + 1, for one trial and for a block alike.
         """
         # A link at this level expects links[level] elementary links; a
         # list is halved by entries, then a single entry by links.
@@ -302,16 +307,9 @@ class _TrialSampler:
         starts = joined.cumsum()
         totals = totals or [int(starts[-1])]
         starts -= joined
-        total = sum(totals)
-        self.swap_attempts[level - 1] += total
+        self.swap_attempts[level - 1] += sum(totals)
         children = self.durations(rngs, level - 1, [2 * t for t in totals])
-        if len(totals) == 1:
-            left, right = children.reshape(2, total)
-        else:  # round g of an entry with t rounds and A before it pairs children g + A and g + A + t
-            t = np.array(totals)
-            before = t.cumsum() - t
-            left, right = children[np.repeat(np.stack((before, before + t)), t, axis=1) + np.arange(total)]
-        rounds = np.maximum(left, right)
+        rounds = np.maximum(children[0::2], children[1::2])
         if self.swap_comm_time:
             rounds += 2 ** (level - 1) * self.flight
         return np.add.reduceat(rounds, starts)
@@ -322,22 +320,21 @@ class _TrialSampler:
 
         The run's block size chooses the sampler: a block of one trial
         draws its links' compound sums (``_compound_pulses``); a larger
-        block fills two rows of draws per request, turned into Geom(p_l)
+        block fills a request's rows of a (sum(totals), 2) array in one
+        call, a row per launch and a column per end, turned into Geom(p_l)
         waits, maxima, link sums and a draw total once for the block.
         """
         if self.block == 1:
             pulses, draws = _compound_pulses(rngs[0], self.p_l, launches[0])
             self.prep_attempts += draws
             return pulses
-        waits = np.empty((2, sum(totals)))
+        waits = np.empty((sum(totals), 2))
         offset = 0
         for rng, t in zip(rngs, totals):
-            row = waits[:, offset:offset + t]
             if self.scale:
-                rng.standard_exponential(out=row[0])
-                rng.standard_exponential(out=row[1])
+                rng.standard_exponential(out=waits[offset:offset + t])
             else:
-                row[:] = rng.geometric(self.p_l, size=(2, t))
+                waits[offset:offset + t] = rng.geometric(self.p_l, size=(t, 2))
             offset += t
         if self.scale:
             waits /= self.scale
@@ -345,7 +342,7 @@ class _TrialSampler:
         waits = waits.astype(np.int64)
         self.prep_attempts += int(np.add.reduce(waits, None))
         k = launches[0] if len(launches) == 1 else np.concatenate(launches)
-        return np.add.reduceat(np.maximum(waits[0], waits[1]), k.cumsum() - k)
+        return np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), k.cumsum() - k)
 
 
 def simulate_trial(

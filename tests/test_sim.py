@@ -400,8 +400,9 @@ def test_single_trial_estimate():
     (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None),
     (N1, OFF, 300, 8),
     (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None),
+    (paper_defaults().with_overrides(L=160.0, n=3), ON, _SEED_CHUNK + 7, None),
 ], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-160km-compound", "ideal-geometric", "n1-halved",
-        "n6-split"])
+        "n6-split", "n3-160km-blocks"])
 def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links):
     # estimate derives its generator states in bulk and samples its trials
     # in blocks; a replay of its trials one by one through
@@ -410,8 +411,9 @@ def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, s
     # 2 at n = 0 over 150 km, whose heavy-tailed requests are all drawn
     # one by one; single-trial compound blocks at n = 0 over 160 km;
     # p_l = p_swap = 1/2, drawn by Generator.geometric; lists halved by
-    # trials and then by links (2^3 links a request); and n = 6 over
-    # 1280 km, whose 50,000-link requests are halved.
+    # trials and then by links (2^3 links a request); n = 6 over 1280 km,
+    # whose 50,000-link requests are halved; and blocks of 4 at n = 3 over
+    # 160 km, whose swap rounds pair a block's children at three levels.
     if slice_links is not None:
         monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
     res = estimate(params, policy, trials, 123)
@@ -423,6 +425,38 @@ def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, s
     assert res.prep_attempts == sum(t.counts.prep_attempts for t in replay)
     assert res.link_attempts == sum(t.counts.link_attempts for t in replay)
     assert res.swap_attempts == tuple(sum(c) for c in zip(*(t.counts.swap_attempts for t in replay)))
+
+
+@pytest.mark.parametrize("policy", [OFF, ON], ids=["off", "swap-comm"])
+def test_swap_rounds_pair_adjacent_children(policy):
+    # Round g of a level-1 entry pairs its children 2g and 2g + 1, in a
+    # block of three trials as in each trial alone.  Level 0 is stubbed
+    # with distinct integer durations drawn from each trial's Generator,
+    # and every trial has at least two rounds, so any other pairing
+    # changes a sum.
+    def run(seeds):
+        sampler = _TrialSampler(N1, policy, stage_probs=(P_L, 0.5, 0.2))
+        level1 = sampler.durations
+        children = []
+
+        def durations(rngs, level, ms):
+            if level:
+                return level1(rngs, level, ms)
+            drawn = [rng.permutation(m).astype(float) for rng, m in zip(rngs, ms)]
+            children.extend(drawn)
+            return np.concatenate(drawn)
+
+        sampler.durations = durations
+        times = sampler([np.random.default_rng(seed) for seed in seeds])
+        delay = sampler.flight if policy.swap_comm_time else 0.0
+        assert min(len(c) for c in children) >= 4
+        assert times == pytest.approx([sum(max(c[2 * g], c[2 * g + 1]) + delay for g in range(len(c) // 2))
+                                       for c in children], rel=1e-12)
+        return times
+
+    seeds = [0, 1, 4]
+    block = run(seeds)
+    assert [run([seed])[0] for seed in seeds] == block.tolist()
 
 
 @pytest.mark.parametrize("p", [1e-13, P_L, rates.stage_probabilities(N1)[1], rates.stage_probabilities(N1)[2], 0.3333])
@@ -440,15 +474,17 @@ def test_geometric_is_an_inverted_exponential(p):
 
 @pytest.mark.parametrize("p_l", [1e-13, P_L, 0.3333, 1.0 / 3.0, 0.5, 1.0])
 def test_direct_waits_match_generator_geometric(p_l):
-    # A direct request's pulses are the per-link sums of the longer of two
-    # rows of Geom(p_l) waits, as Generator.geometric draws them; from
-    # p_l = 1/3 up, where numpy stops inverting, the sampler calls it.
+    # A direct request's pulses are the per-link sums of the longer of the
+    # two Geom(p_l) waits in each row of a (K, 2) array, as
+    # Generator.geometric draws them: launch k's waits are the request's
+    # draws 2k and 2k + 1.  From p_l = 1/3 up, where numpy stops
+    # inverting, the sampler calls it.
     launches = np.array([3, 1, 4, 1, 5])
     sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
     assert (sampler.scale == 0.0) == (p_l >= 1.0 / 3.0)
     pulses = sampler._pulses([np.random.default_rng(5)], [launches], [int(launches.sum())])
-    waits = np.random.default_rng(5).geometric(p_l, size=(2, launches.sum()))
-    assert np.array_equal(pulses, np.add.reduceat(np.maximum(waits[0], waits[1]), launches.cumsum() - launches))
+    waits = np.random.default_rng(5).geometric(p_l, size=(launches.sum(), 2))
+    assert np.array_equal(pulses, np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), launches.cumsum() - launches))
     assert sampler.prep_attempts == waits.sum()
 
 
@@ -498,9 +534,9 @@ def test_bulk_seeding_rejects_negative_root():
 
 
 @pytest.mark.parametrize("params, seed, mean, prep, link, swaps", [
-    (N0, 5, 0.04987217540816326, 164497609, 54480, ()),
-    (N1, 6, 0.24431987867346938, 1074331642, 357112, (1517,)),
-])
+    (N0, 5, 0.049870608979591835, 164497609, 54480, ()),
+    (N1, 6, 0.24597804897959186, 1074331642, 357112, (1517,)),
+], ids=["n0", "n1"])
 def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
     # Every level-0 request of these trials is small enough to be drawn
     # pulse by pulse, so their values are fixed by the stream contract.
@@ -512,8 +548,8 @@ def test_estimate_direct_draws_pinned(params, seed, mean, prep, link, swaps):
 
 
 @pytest.mark.parametrize("policy, mean", [
-    (OFF, 22.90657706326531),
-    (ON, 23.09221965357143),
+    (OFF, 22.960911030357142),
+    (ON, 23.14738774298469),
 ], ids=["off", "swap-comm"])
 def test_estimate_compound_draws_pinned(policy, mean):
     # Every level-0 request at n = 4 over 1280 km is drawn from compound
@@ -526,7 +562,7 @@ def test_estimate_compound_draws_pinned(policy, mean):
 
 
 @pytest.mark.parametrize("seed, stage_probs, total_time, prep, link", [
-    (1, None, 0.0566133418367347, 372148, 124),
+    (1, None, 0.056957984693877556, 372148, 124),
     (31, (0.3, 1e-6, 1.0), 546.5732866071429, 9110879, 1366023),
 ], ids=["direct", "compound"])
 def test_single_link_trial_pinned(seed, stage_probs, total_time, prep, link):
