@@ -24,4 +24,4 @@ __all__ = [
     "validate",
 ]
 
-__version__ = "0.4.25"
+__version__ = "0.4.26"

@@ -30,17 +30,18 @@ joined arrays, so the block size never changes an output, and
 ``simulate_trial`` draws a trial as ``estimate`` does.  Within a trial the stream runs
 top-down: one Geom(p_swap) attempt count per requested link at each
 level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  The
-block size chooses the run's level-0 sampler once.  A run of blocks of
-several trials draws every request's preparations one by one, in one
-call a request, as K pairs of waits: launch k's two ends take the
-request's draws 2k and 2k + 1, as ``Generator.geometric(p_l, size=(K,
-2))`` lays them out.  Below p_l = 1/3 they are standard exponentials E,
-each wait ceil(E / -log1p(-p_l)), which is how ``Generator.geometric``
-draws there (bit for bit, checked on numpy 2.4.6); from 1/3 up
-``Generator.geometric`` draws them.  A run of one-trial blocks draws
-each link's exact compound sums: gamma and Poisson variates for the
-launches' minima, the tied launches, and gamma and Poisson variates for
-the untied launches' excess.  A request expecting at most one tie a link
+top level's one count a trial is drawn as a scalar, the variate that
+``size=1`` draws.  The block size chooses the run's level-0 sampler once.
+A run of blocks of several trials draws every request's preparations
+one by one, in one call a request, as K pairs of waits: launch k's two
+ends take the request's draws 2k and 2k + 1, as
+``Generator.geometric(p_l, size=(K, 2))`` lays them out.  Below p_l =
+1/3 they are standard exponentials E, each wait ceil(E / -log1p(-p_l)),
+which is how ``Generator.geometric`` draws there (bit for bit, checked
+on numpy 2.4.6); from 1/3 up ``Generator.geometric`` draws them.  A
+run of one-trial blocks draws each link's exact compound sums: gamma and
+Poisson variates for the launches' minima, the tied launches, and gamma
+and Poisson variates for the untied launches' excess.  A request expecting at most one tie a link
 draws its ties as the Geom(s) gaps of one Bernoulli(s) process over all
 its launches; one expecting more draws each link's first tie and a
 binomial count of later ones, so neither holds more than O(links)
@@ -275,7 +276,9 @@ class _TrialSampler:
 
     def durations(self, rngs: list[np.random.Generator], level: int, ms: list[int]) -> np.ndarray:
         """Durations of ``ms[j]`` independent level-``level`` links drawn
-        from ``rngs[j]``, for each j in turn.
+        from ``rngs[j]``, for each j in turn.  At the top level each entry
+        is one link, whose attempt count is drawn as a scalar (the variate
+        ``size=1`` draws); that list serves as the level's totals.
 
         Failed subtrees restart from scratch, so a link lasts the sum, over
         its attempts, of the longer of two fresh links one level down.  An
@@ -293,17 +296,18 @@ class _TrialSampler:
                 parts = (rngs, [half]), (rngs, [ms[0] - half])
             return np.concatenate([self.durations(r, level, m) for r, m in parts])
         p = self.p_0 if level == 0 else self.p_sw
-        if len(ms) == 1:  # its total comes below, from a sum or the running sum
-            counts = [rngs[0].geometric(p, size=ms[0])]
-            joined, totals = counts[0], None
+        if level == self.n:
+            totals = [rng.geometric(p) for rng in rngs]
+            joined = np.array(totals)
+        elif len(ms) == 1:  # its total comes below, from a sum or the running sum
+            joined, totals = rngs[0].geometric(p, size=ms[0]), None
         else:
-            counts = [rng.geometric(p, size=m) for rng, m in zip(rngs, ms)]
-            joined = np.concatenate(counts)
+            joined = np.concatenate([rng.geometric(p, size=m) for rng, m in zip(rngs, ms)])
             totals = np.add.reduceat(joined, np.cumsum([0] + ms[:-1])).tolist()
         if level == 0:
             totals = totals or [int(np.add.reduce(joined))]
             self.link_attempts += sum(totals)
-            return self._pulses(rngs, counts, totals) * self.slot + joined * self.flight
+            return self._pulses(rngs, joined, totals) * self.slot + joined * self.flight
         starts = joined.cumsum()
         totals = totals or [int(starts[-1])]
         starts -= joined
@@ -314,9 +318,9 @@ class _TrialSampler:
             rounds += 2 ** (level - 1) * self.flight
         return np.add.reduceat(rounds, starts)
 
-    def _pulses(self, rngs: list[np.random.Generator], launches: list[np.ndarray], totals: list[int]) -> np.ndarray:
-        """Pulse slots of the links with ``launches[j]`` launches each,
-        drawn from ``rngs[j]``, in turn; ``totals[j]`` is their sum.
+    def _pulses(self, rngs: list[np.random.Generator], launches: np.ndarray, totals: list[int]) -> np.ndarray:
+        """Pulse slots of the links with ``launches`` launches each, trial
+        j's ``totals[j]`` launches drawn from ``rngs[j]``, in turn.
 
         The run's block size chooses the sampler: a block of one trial
         draws its links' compound sums (``_compound_pulses``); a larger
@@ -325,7 +329,7 @@ class _TrialSampler:
         waits, maxima, link sums and a draw total once for the block.
         """
         if self.block == 1:
-            pulses, draws = _compound_pulses(rngs[0], self.p_l, launches[0])
+            pulses, draws = _compound_pulses(rngs[0], self.p_l, launches)
             self.prep_attempts += draws
             return pulses
         waits = np.empty((sum(totals), 2))
@@ -341,8 +345,7 @@ class _TrialSampler:
             np.ceil(waits, out=waits)
         waits = waits.astype(np.int64)
         self.prep_attempts += int(np.add.reduce(waits, None))
-        k = launches[0] if len(launches) == 1 else np.concatenate(launches)
-        return np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), k.cumsum() - k)
+        return np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), launches.cumsum() - launches)
 
 
 def simulate_trial(

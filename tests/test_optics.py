@@ -422,9 +422,9 @@ PINNED_ROW_PROBS = {
 
 
 @pytest.mark.parametrize("pipeline, accept_prob, branch_count", [
-    (local_entanglement_pipeline, 0.0006643012499999996, 4),
-    (link_pipeline, 0.008643455106179903, 1),
-    (swap_pipeline, 0.32805, 1),
+    pytest.param(local_entanglement_pipeline, 0.0006643012499999996, 4, id="local"),
+    pytest.param(link_pipeline, 0.008643455106179903, 1, id="link"),
+    pytest.param(swap_pipeline, 0.32805, 1, id="swap"),
 ])
 def test_pipeline_outputs_pinned(pipeline, accept_prob, branch_count):
     # Values of version 0.3.0 at the paper defaults; the per-pattern

@@ -211,7 +211,7 @@ def test_level0_paths_agree_in_distribution(p_l, k):
     def request(sampler, launches):
         """A request's link pulses and its preparation draws."""
         before = sampler.prep_attempts
-        pulses = sampler._pulses([rng], [launches], [int(launches.sum())])
+        pulses = sampler._pulses([rng], launches, [int(launches.sum())])
         return pulses, sampler.prep_attempts - before
 
     direct = [request(direct_sampler, launches[:1]) for _ in range(20_000)]
@@ -391,19 +391,20 @@ def test_single_trial_estimate():
     assert res.p50 == trial.total_time
 
 
-@pytest.mark.parametrize("params, policy, trials, slice_links", [
-    (N0, OFF, _SEED_CHUNK + 7, None),
-    (N1, OFF, _SEED_CHUNK + 7, None),
-    (paper_defaults().with_overrides(L=1280.0, n=4), ON, _SEED_CHUNK + 7, None),
-    (paper_defaults().with_overrides(L=150.0, n=0), OFF, _SEED_CHUNK + 7, None),
-    (N0_160KM, OFF, _SEED_CHUNK + 7, None),
-    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None),
-    (N1, OFF, 300, 8),
-    (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None),
-    (paper_defaults().with_overrides(L=160.0, n=3), ON, _SEED_CHUNK + 7, None),
+@pytest.mark.parametrize("params, policy, trials, slice_links, seed", [
+    (N0, OFF, _SEED_CHUNK + 7, None, 123),
+    (N1, OFF, _SEED_CHUNK + 7, None, 123),
+    (paper_defaults().with_overrides(L=1280.0, n=4), ON, _SEED_CHUNK + 7, None, 123),
+    (paper_defaults().with_overrides(L=150.0, n=0), OFF, _SEED_CHUNK + 7, None, 123),
+    (N0_160KM, OFF, _SEED_CHUNK + 7, None, 123),
+    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None, 123),
+    (N1, OFF, 300, 8, 123),
+    (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None, 123),
+    (paper_defaults().with_overrides(L=160.0, n=3), ON, _SEED_CHUNK + 7, None, 123),
+    (paper_defaults().with_overrides(L=2.0, n=0, eta_p=2e-5), OFF, 3000, None, 5),
 ], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-160km-compound", "ideal-geometric", "n1-halved",
-        "n6-split", "n3-160km-blocks"])
-def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links):
+        "n6-split", "n3-160km-blocks", "n0-2km-int64-resum"])
+def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links, seed):
     # estimate derives its generator states in bulk and samples its trials
     # in blocks; a replay of its trials one by one through
     # derive_trial_seed and simulate_trial reproduces every output
@@ -412,12 +413,15 @@ def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, s
     # one by one; single-trial compound blocks at n = 0 over 160 km;
     # p_l = p_swap = 1/2, drawn by Generator.geometric; lists halved by
     # trials and then by links (2^3 links a request); n = 6 over 1280 km,
-    # whose 50,000-link requests are halved; and blocks of 4 at n = 3 over
-    # 160 km, whose swap rounds pair a block's children at three levels.
+    # whose 50,000-link requests are halved; blocks of 4 at n = 3 over
+    # 160 km, whose swap rounds pair a block's children at three levels;
+    # and blocks of 2,453 trials at n = 0 over 2 km with eta_p = 2e-5
+    # (p_l = 3.3e-13), whose waits total about 2^55.5 a block, past where
+    # a float64 sum is exact: a float64 total there reads 1 draw short.
     if slice_links is not None:
         monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
-    res = estimate(params, policy, trials, 123)
-    replay = [simulate_trial(params, policy, derive_trial_seed(123, i)) for i in range(trials)]
+    res = estimate(params, policy, trials, seed)
+    replay = [simulate_trial(params, policy, derive_trial_seed(seed, i)) for i in range(trials)]
     times = np.array([t.total_time for t in replay])
     assert res.mean == float(np.mean(times))
     assert res.std_error == float(np.std(times, ddof=1) / math.sqrt(trials))
@@ -482,7 +486,7 @@ def test_direct_waits_match_generator_geometric(p_l):
     launches = np.array([3, 1, 4, 1, 5])
     sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
     assert (sampler.scale == 0.0) == (p_l >= 1.0 / 3.0)
-    pulses = sampler._pulses([np.random.default_rng(5)], [launches], [int(launches.sum())])
+    pulses = sampler._pulses([np.random.default_rng(5)], launches, [int(launches.sum())])
     waits = np.random.default_rng(5).geometric(p_l, size=(launches.sum(), 2))
     assert np.array_equal(pulses, np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), launches.cumsum() - launches))
     assert sampler.prep_attempts == waits.sum()
@@ -714,9 +718,10 @@ def test_expected_max_matches_pmf_convolution(p_l, p_0, flight):
 
 
 @pytest.mark.parametrize("params, value", [
-    (N1, 0.24172615879635473),
-    (paper_defaults().with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0,
-                                     n=1, L=2.0, c=1.0, r=4.0, L_att=0.25), 545.1959813276652),
+    pytest.param(N1, 0.24172615879635473, id="n1-160km"),
+    pytest.param(paper_defaults().with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0,
+                                                 n=1, L=2.0, c=1.0, r=4.0, L_att=0.25), 545.1959813276652,
+                 id="small-scale"),
 ])
 def test_oracle_n1_pinned_values(params, value):
     # N1: the survival recursion of the 0.4.4 oracle re-run in
