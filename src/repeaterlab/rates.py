@@ -84,7 +84,10 @@ def stage_probabilities(params: ProtocolParams) -> tuple[float, float, float]:
 # which a Monte Carlo run is refused.  Below it a link's expected draws,
 # and so its Poisson means (launches/p_l, expected 1/(p_l p_0) at most),
 # stay below 2^46, and the int64 sums over a level-0 request of at most
-# ``sim._SLICE_LINKS`` = 2^16 links stay below 2^62 in expectation.
+# ``sim._SLICE_LINKS`` = 2^16 links stay below 2^62 in expectation.  A
+# block drawn one by one expects at most 2 ``sim._SLICE_DRAWS`` = 2^15
+# waits, each of mean 1/p_l <= 2^45 p_0, so its int64 sum stays at or
+# below 2^60 in expectation.
 _MAX_LINK_DRAWS = 2**46
 # Expected elementary links (2/p_swap)^n of one trial above which a run
 # is refused: about 5 s at about 0.3 us per link.

@@ -21,13 +21,15 @@ spawn_key=(i,))``, so results are independent of execution order and a
 rerun is bit-for-bit identical.  ``simulate_trial`` seeds a fresh
 ``PCG64`` from ``derive_trial_seed``; ``_trial_words`` derives the
 same PCG64 seed words from numpy's hash over arrays of trials.
-``estimate`` runs its trials in blocks of max(1, floor(``_SLICE_DRAWS``
-p_0 / (2 links[n]))), so a block of several trials expects at most
-``_SLICE_DRAWS`` preparation draws.  Each trial of a block draws on its own
-Generator, seeded from its words, exactly the variates it draws alone,
-in the same order; the block does the arithmetic on them once, over
-joined arrays, so the block size never changes an output, and
-``simulate_trial`` draws a trial as ``estimate`` does.  Within a trial the stream runs
+``estimate`` runs its trials in blocks.  A trial expects d = 2 links[n]
+/ p_0 preparation draws: a run with d > ``_SLICE_DRAWS`` / 2 has blocks
+of one trial, any other blocks of floor(2 ``_SLICE_DRAWS`` / d) >= 4
+trials, which expect at most 2 ``_SLICE_DRAWS`` draws.  Each trial of a
+block draws on its own Generator, seeded from its words, exactly the
+variates it draws alone, in the same order; the block does the
+arithmetic on them once, over joined arrays, so the block size never
+changes an output, and ``simulate_trial`` draws a trial as ``estimate``
+does.  Within a trial the stream runs
 top-down: one Geom(p_swap) attempt count per requested link at each
 level; then, per level-0 request, the K ~ Geom(p_0) launch counts.  The
 top level's one count a trial is drawn as a scalar, the variate that
@@ -201,12 +203,15 @@ def _trial_words(root_seed: int, start: int, stop: int) -> np.ndarray:
 # Requests expecting more elementary links than this are sampled in
 # halves, so a level-0 request holds at most this many links.
 _SLICE_LINKS = 2**16
-# A block of trials expects at most this many preparation draws, or holds
-# one trial and draws its links' compound sums: 40-65 us for four numpy
-# calls with array parameters at 11-15 us each (five if its ties are drawn
-# per link), plus 0.1-0.3 us a link, against 11-16 ns a draw one by one.
-# 2^14 keeps n = 0 over 80 km and n = 1 over 160 km one by one, and n = 4
-# over 1280 km compound.
+# A run whose trials expect more than half this many preparation draws
+# holds one trial a block and draws its links' compound sums: 40-65 us
+# for four numpy calls with array parameters at 11-15 us each (five if
+# its ties are drawn per link), plus 0.1-0.3 us a link, against 11-16 ns
+# a draw one by one.  Any other run draws one by one, in blocks that
+# expect at most twice this many draws, so a block's fixed numpy calls
+# are spread over more trials; blocks of 2^16 draws were 2-27% slower at
+# n = 0 over 80 km.  2^14 keeps n = 0 over 80 km and n = 1 over 160 km
+# one by one, and n = 4 over 1280 km compound.
 _SLICE_DRAWS = 2**14
 
 
@@ -260,7 +265,8 @@ class _TrialSampler:
         self.n = params.n
         self.swap_comm_time = policy.swap_comm_time
         # Trials per block: a trial expects 2 links[n] / p_0 preparation draws.
-        self.block = max(1, int(_SLICE_DRAWS / (2.0 * self.links[self.n] / self.p_0)))
+        draws = 2.0 * self.links[self.n] / self.p_0
+        self.block = 1 if draws > _SLICE_DRAWS / 2 else int(2 * _SLICE_DRAWS / draws)
         # Below 1/3 numpy draws Geom(p) as ceil(E / -log1p(-p)), E a
         # standard exponential; from 1/3 up it searches (scale 0).
         self.scale = -math.log1p(-self.p_l) if self.p_l < 1.0 / 3.0 else 0.0

@@ -129,17 +129,53 @@ def test_sampling_guards_have_one_owner(params, stage_probs, error):
 
 
 @pytest.mark.parametrize("params, block", [
-    (N0, 70),
-    (paper_defaults().with_overrides(L=150.0, n=0), 2),
-    (N1, 11),
-    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), 26),
+    (N0, 141),
+    (paper_defaults().with_overrides(L=150.0, n=0), 5),
+    (N1, 23),
+    (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), 53),
     (N4, 1),
     (N4.with_overrides(n=6), 1),
 ], ids=["n0", "n0-150km", "n1", "n1-ideal", "n4", "n6"])
 def test_block_sizes_match_the_readme(params, block):
-    # Trials per block, max(1, floor(2^14 p_0 / (2 links[n]))), at the
-    # values the README documents.
+    # Trials per block at the values the README documents: with d = 2
+    # links[n] / p_0 expected preparation draws a trial, 1 if d > 2^13,
+    # else floor(2^15 / d).
     assert _TrialSampler(params, OFF).block == block
+
+
+def _split_cases():
+    """(params, stage_probs) runs on both sides of the level-0 split."""
+    for n, lo, hi in ((0, 100.0, 200.0), (1, 200.0, 280.0), (2, 280.0, 350.0)):
+        for l_km in np.arange(lo, hi + 0.25, 0.5):
+            yield paper_defaults().with_overrides(L=float(l_km), n=n), None
+    # p_0 within a few ulps of d = 2^13, at n = 0 and at n = 1 with
+    # p_swap = 1/2 and 0.3.
+    for n, p_sw in ((0, 1.0), (1, 0.5), (1, 0.3)):
+        edge = 2.0 * (2.0 / p_sw) ** n / 2**13
+        for ulps in range(-3, 4):
+            p_0 = edge
+            for _ in range(abs(ulps)):
+                p_0 = math.nextafter(p_0, math.copysign(math.inf, ulps))
+            yield N0.with_overrides(n=n), (P_L, p_0, p_sw)
+
+
+def test_level0_sampler_split_is_unchanged():
+    # A run draws compound sums in one-trial blocks exactly when a trial
+    # expects more than 2^13 preparation draws, d = 2 links[n] / p_0, as
+    # when blocks held floor(2^14 / d) trials; a run drawn one by one has
+    # blocks of floor(2^15 / d) >= 4 trials.  Moving the split would
+    # change the random stream of the runs it passes over.
+    sides = set()
+    for params, stage_probs in _split_cases():
+        plan = rates.sampling_plan(params, stage_probs)
+        d = 2.0 * plan.links[params.n] / plan.p_0
+        block = _TrialSampler(params, OFF, stage_probs).block
+        sides.add((params.n, stage_probs and stage_probs[2], d > 2**13))
+        if d > 2**13:
+            assert block == 1, (params.n, params.L, stage_probs, d)
+        else:
+            assert block == int(2**15 / d) >= 4, (params.n, params.L, stage_probs, d)
+    assert len(sides) == 12  # every family meets both sides
 
 
 def test_single_link_draws_are_sliced():
@@ -157,12 +193,12 @@ def test_single_link_draws_are_sliced():
 
 @pytest.mark.parametrize("l_km", [150.0, 158.0])
 def test_direct_draws_stay_small(l_km):
-    # Of the runs drawn one by one, those with blocks of 2 have the most
-    # preparation draws a trial: 2/p_0 = 5,574 at n = 0 over 150 km and
-    # 8,019 over 158 km, the longest link with blocks of 2.  Their
-    # heavy-tailed requests hold every wait as a float.
+    # Of the runs drawn one by one, those nearest the split have the most
+    # preparation draws a trial: 2/p_0 = 5,574 at n = 0 over 150 km
+    # (blocks of 5) and 8,019 over 158 km (blocks of 4, the smallest).
+    # Their heavy-tailed requests hold every wait as a float.
     params = paper_defaults().with_overrides(L=l_km, n=0)
-    assert _TrialSampler(params, OFF).block == 2
+    assert _TrialSampler(params, OFF).block == {150.0: 5, 158.0: 4}[l_km]
     tracemalloc.start()
     try:
         estimate(params, OFF, 400, 19)
@@ -409,14 +445,14 @@ def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, s
     # in blocks; a replay of its trials one by one through
     # derive_trial_seed and simulate_trial reproduces every output
     # exactly.  The cases cover more than one chunk of states; blocks of
-    # 2 at n = 0 over 150 km, whose heavy-tailed requests are all drawn
+    # 5 at n = 0 over 150 km, whose heavy-tailed requests are all drawn
     # one by one; single-trial compound blocks at n = 0 over 160 km;
     # p_l = p_swap = 1/2, drawn by Generator.geometric; lists halved by
     # trials and then by links (2^3 links a request); n = 6 over 1280 km,
-    # whose 50,000-link requests are halved; blocks of 4 at n = 3 over
+    # whose 50,000-link requests are halved; blocks of 9 at n = 3 over
     # 160 km, whose swap rounds pair a block's children at three levels;
-    # and blocks of 2,453 trials at n = 0 over 2 km with eta_p = 2e-5
-    # (p_l = 3.3e-13), whose waits total about 2^55.5 a block, past where
+    # and blocks of 4,907 trials at n = 0 over 2 km with eta_p = 2e-5
+    # (p_l = 3.3e-13), whose waits total about 2^56.5 a block, past where
     # a float64 sum is exact: a float64 total there reads 1 draw short.
     if slice_links is not None:
         monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
@@ -523,7 +559,7 @@ def test_generator_from_bulk_words_draws_like_a_fresh_one():
 
 @pytest.mark.parametrize("params, trials", [(N0, 300), (N1, 100), (N4, 5)], ids=["n0", "n1", "n4"])
 def test_seed_chunk_never_changes_an_output(monkeypatch, params, trials):
-    # Blocks of 70 (n = 0), 11 (n = 1) and 1 (n = 4) trials take their seed
+    # Blocks of 141 (n = 0), 23 (n = 1) and 1 (n = 4) trials take their seed
     # words from chunks of 1, 7 and 1,024 trials, so blocks straddle chunks.
     results = []
     for chunk in (1, 7, 1024):
