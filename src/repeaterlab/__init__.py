@@ -24,4 +24,4 @@ __all__ = [
     "validate",
 ]
 
-__version__ = "0.4.27"
+__version__ = "0.4.28"

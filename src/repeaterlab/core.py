@@ -128,12 +128,6 @@ def validate(params: ProtocolParams) -> ValidationResult:
     return ValidationResult(tuple(bad))
 
 
-def serialize(params: ProtocolParams) -> str:
-    """Emit a config document; ``load_config(serialize(p)) == p`` for valid p."""
-    doc = {key: getattr(params, field) for key, field in _CONFIG_KEYS.items()}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def require_valid(params: ProtocolParams) -> ProtocolParams:
     """``params`` itself, or a ``ConfigError`` naming every field that
     ``validate`` refuses."""

@@ -105,22 +105,14 @@ class SamplingPlan(NamedTuple):
     links: tuple[float, ...]
 
 
-def sampling_plan(params: ProtocolParams,
-                  stage_probs: tuple[float, float, float] | None = None) -> SamplingPlan:
+def sampling_plan(params: ProtocolParams) -> SamplingPlan:
     """The plan of a Monte Carlo run, the one owner of its guards and its
-    expected links per level.  The probabilities are ``stage_probs`` if
-    given (ValueError unless each lies in (0, 1]), else
-    ``stage_probabilities(params)``.  GuardError if a link expects more
-    than ``_MAX_LINK_DRAWS`` preparation draws, 2/(p_l p_0), or a trial
-    more than ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n; the
-    ``links`` table is built only once both checks pass."""
-    if stage_probs is None:
-        p_l, p_0, p_sw = stage_probabilities(params)
-    else:
-        for name, p in zip(("p_l", "p_0", "p_swap"), stage_probs):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"stage_probs: {name} = {p!r} lies outside (0, 1]")
-        p_l, p_0, p_sw = stage_probs
+    expected links per level, at ``stage_probabilities(params)``.
+    GuardError if a link expects more than ``_MAX_LINK_DRAWS``
+    preparation draws, 2/(p_l p_0), or a trial more than
+    ``_MAX_TRIAL_LINKS`` elementary links, (2/p_swap)^n; the ``links``
+    table is built only once both checks pass."""
+    p_l, p_0, p_sw = stage_probabilities(params)
     link_draws = 2.0 / p_l / p_0
     if link_draws > _MAX_LINK_DRAWS:
         raise GuardError(f"p_l = {p_l:.3g} and p_0 = {p_0:.3g} mean 2/(p_l p_0) = {link_draws:.3g} "

@@ -255,13 +255,12 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
 
 
 class _TrialSampler:
-    """Blocks of trials of one (params, policy, stage_probs) run, each
-    trial on its own Generator, and the run's attempt totals (Python
-    ints, so exact); its ``rates.sampling_plan`` is made once."""
+    """Blocks of trials of one (params, policy) run, each trial on its own
+    Generator, and the run's attempt totals (Python ints, so exact); its
+    ``rates.sampling_plan`` is made once."""
 
-    def __init__(self, params: ProtocolParams, policy: SimPolicy,
-                 stage_probs: tuple[float, float, float] | None = None):
-        self.p_l, self.p_0, self.p_sw, self.links = rates.sampling_plan(params, stage_probs)
+    def __init__(self, params: ProtocolParams, policy: SimPolicy):
+        self.p_l, self.p_0, self.p_sw, self.links = rates.sampling_plan(params)
         self.n = params.n
         self.swap_comm_time = policy.swap_comm_time
         # Trials per block: a trial expects 2 links[n] / p_0 preparation draws.
@@ -354,22 +353,13 @@ class _TrialSampler:
         return np.add.reduceat(np.maximum(waits[:, 0], waits[:, 1]), launches.cumsum() - launches)
 
 
-def simulate_trial(
-    params: ProtocolParams,
-    policy: SimPolicy,
-    seed: int,
-    stage_probs: tuple[float, float, float] | None = None,
-) -> TrialResult:
+def simulate_trial(params: ProtocolParams, policy: SimPolicy, seed: int) -> TrialResult:
     """Run one trial; deterministic given (params, policy, seed).
 
-    ``stage_probs`` replaces the derived (p_l, p_0, p_swap), which pins
-    down the event accounting in tests: physical efficiencies cap each
-    probability at 1/2, so e.g. the all-probabilities-1 case (one prep
-    pulse, one flight per link, free swaps) is reachable only this way.
     Raises what ``rates.sampling_plan`` raises, and
     SimulationGuardError if the trial time is not a finite float.
     """
-    sampler = _TrialSampler(params, policy, stage_probs)
+    sampler = _TrialSampler(params, policy)
     # As in ``estimate``: an overflowing trial time is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         total_time = float(sampler([np.random.Generator(np.random.PCG64(seed))])[0])

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 import tracemalloc
@@ -41,6 +42,21 @@ N0_160KM = paper_defaults().with_overrides(L=160.0, n=0)
 P_L = rates.stage_probabilities(paper_defaults())[0]
 
 
+@contextlib.contextmanager
+def _stage_probs(probs):
+    """Runs set up inside the block draw at ``probs`` = (p_l, p_0,
+    p_swap) in place of their parameters' own, unless it is None.  Each
+    physical stage probability is (eta...)^2 / 2, so efficiencies cap it
+    at 1/2; p = 1 and other off-physics points are reached by patching
+    ``rates.stage_probabilities``, the one seam every run reads its
+    probabilities through.  A sampler keeps its probabilities after the
+    block exits."""
+    with pytest.MonkeyPatch.context() as patch:
+        if probs is not None:
+            patch.setattr(rates, "stage_probabilities", lambda params: probs)
+        yield
+
+
 # ---------------------------------------------------------------------------
 # determinism and event accounting
 # ---------------------------------------------------------------------------
@@ -71,7 +87,8 @@ def test_derive_trial_seed_is_stable_and_distinct():
 
 def test_unit_probabilities_single_link():
     # One prep pulse, one flight: exactly 1/r + L_0/c.
-    res = simulate_trial(N0, OFF, 5, stage_probs=(1.0, 1.0, 1.0))
+    with _stage_probs((1.0, 1.0, 1.0)):
+        res = simulate_trial(N0, OFF, 5)
     assert res.total_time == 1.0 / N0.r + N0.l0 / N0.c
     assert res.counts.prep_attempts == 2
     assert res.counts.link_attempts == 1
@@ -81,7 +98,8 @@ def test_unit_probabilities_chain_runs_fully_parallel():
     # All links complete simultaneously and swaps are free, so the chain
     # takes exactly one link-build time.
     params = paper_defaults().with_overrides(L=320.0, n=2)
-    res = simulate_trial(params, OFF, 11, stage_probs=(1.0, 1.0, 1.0))
+    with _stage_probs((1.0, 1.0, 1.0)):
+        res = simulate_trial(params, OFF, 11)
     assert res.total_time == pytest.approx(1.0 / params.r + params.l0 / params.c, rel=1e-12)
     assert res.counts.link_attempts == 4
     assert res.counts.swap_attempts == (2, 1)
@@ -101,29 +119,23 @@ def test_zero_probability_guard():
         simulate_trial(N0.with_overrides(eta_d=0.0), OFF, 3)
     with pytest.raises(SimulationGuardError):
         estimate(N1.with_overrides(eta_e2=0.0), OFF, 10, 3)
-    # Stage probabilities given directly must lie in (0, 1].
-    with pytest.raises(ValueError, match="p_0"):
-        simulate_trial(N0, OFF, 3, stage_probs=(0.5, 1.5, 1.0))
-    with pytest.raises(ValueError, match="p_l"):
-        simulate_trial(N0, OFF, 3, stage_probs=(0.0, 0.5, 1.0))
 
 
-@pytest.mark.parametrize("params, stage_probs, error", [
-    pytest.param(N0.with_overrides(eta_d=0.0), None, SimulationGuardError, id="zero-stage"),
-    pytest.param(paper_defaults().with_overrides(n=0), None, SimulationGuardError, id="p0-too-small"),
-    pytest.param(N4.with_overrides(n=40, L=80000.0), None, SimulationGuardError, id="too-many-links"),
-    pytest.param(N4.with_overrides(n=5000), None, SimulationGuardError, id="links-table-would-overflow"),
-    pytest.param(N0, (0.5, 1.5, 1.0), ValueError, id="stage-probs-outside"),
+@pytest.mark.parametrize("params", [
+    pytest.param(N0.with_overrides(eta_d=0.0), id="zero-stage"),
+    pytest.param(paper_defaults().with_overrides(n=0), id="p0-too-small"),
+    pytest.param(N4.with_overrides(n=40, L=80000.0), id="too-many-links"),
+    pytest.param(N4.with_overrides(n=5000), id="links-table-would-overflow"),
 ])
-def test_sampling_guards_have_one_owner(params, stage_probs, error):
+def test_sampling_guards_have_one_owner(params):
     # The sampler refuses exactly what rates.sampling_plan refuses, with
     # its type and message: the checks are not copied.  At n = 5000 the
     # plan's links table, (2/p_swap)^5000, would overflow a float, so the
     # guards must run before it is built.
-    with pytest.raises(error) as owner:
-        rates.sampling_plan(params, stage_probs)
-    with pytest.raises(error) as sampler:
-        _TrialSampler(params, OFF, stage_probs)
+    with pytest.raises(SimulationGuardError) as owner:
+        rates.sampling_plan(params)
+    with pytest.raises(SimulationGuardError) as sampler:
+        _TrialSampler(params, OFF)
     assert type(sampler.value) is type(owner.value)
     assert str(sampler.value) == str(owner.value)
 
@@ -144,7 +156,8 @@ def test_block_sizes_match_the_readme(params, block):
 
 
 def _split_cases():
-    """(params, stage_probs) runs on both sides of the level-0 split."""
+    """(params, probs) runs on both sides of the level-0 split, ``probs``
+    the (p_l, p_0, p_swap) they draw at if not their own."""
     for n, lo, hi in ((0, 100.0, 200.0), (1, 200.0, 280.0), (2, 280.0, 350.0)):
         for l_km in np.arange(lo, hi + 0.25, 0.5):
             yield paper_defaults().with_overrides(L=float(l_km), n=n), None
@@ -166,15 +179,16 @@ def test_level0_sampler_split_is_unchanged():
     # blocks of floor(2^15 / d) >= 4 trials.  Moving the split would
     # change the random stream of the runs it passes over.
     sides = set()
-    for params, stage_probs in _split_cases():
-        plan = rates.sampling_plan(params, stage_probs)
+    for params, probs in _split_cases():
+        with _stage_probs(probs):
+            plan = rates.sampling_plan(params)
+            block = _TrialSampler(params, OFF).block
         d = 2.0 * plan.links[params.n] / plan.p_0
-        block = _TrialSampler(params, OFF, stage_probs).block
-        sides.add((params.n, stage_probs and stage_probs[2], d > 2**13))
+        sides.add((params.n, probs and probs[2], d > 2**13))
         if d > 2**13:
-            assert block == 1, (params.n, params.L, stage_probs, d)
+            assert block == 1, (params.n, params.L, probs, d)
         else:
-            assert block == int(2**15 / d) >= 4, (params.n, params.L, stage_probs, d)
+            assert block == int(2**15 / d) >= 4, (params.n, params.L, probs, d)
     assert len(sides) == 12  # every family meets both sides
 
 
@@ -183,7 +197,8 @@ def test_single_link_draws_are_sliced():
     # as int64 if held at once) are drawn as the link's compound sums.
     tracemalloc.start()
     try:
-        res = simulate_trial(N0, OFF, 17, stage_probs=(0.5, 5e-7, 1.0))
+        with _stage_probs((0.5, 5e-7, 1.0)):
+            res = simulate_trial(N0, OFF, 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,8 +254,10 @@ def test_level0_paths_agree_in_distribution(p_l, k):
     links = 600
     launches = np.full(links, k)
     rng = np.random.default_rng(8128)
-    direct_sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
-    compound_sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 1e-6, 1.0))
+    with _stage_probs((p_l, 0.5, 1.0)):
+        direct_sampler = _TrialSampler(N0, OFF)
+    with _stage_probs((p_l, 1e-6, 1.0)):
+        compound_sampler = _TrialSampler(N0, OFF)
     assert direct_sampler.block > 1
     assert compound_sampler.block == 1
 
@@ -387,9 +404,9 @@ def test_compound_single_link_matches_closed_form():
     # link from compound sums, and the mean total time is (E[max of two
     # prep waits] slot + flight) / p_0.
     p_l, p_0 = 0.3, 1e-6
-    assert _TrialSampler(N0, OFF, stage_probs=(p_l, p_0, 1.0)).block == 1
-    trials = [simulate_trial(N0, OFF, derive_trial_seed(31, i), stage_probs=(p_l, p_0, 1.0))
-              for i in range(2000)]
+    with _stage_probs((p_l, p_0, 1.0)):
+        assert _TrialSampler(N0, OFF).block == 1
+        trials = [simulate_trial(N0, OFF, derive_trial_seed(31, i)) for i in range(2000)]
     times = np.array([t.total_time for t in trials])
     closed = (expected_pulses_both_ready(p_l) / N0.r + N0.l0 / N0.c) / p_0
     assert abs(times.mean() - closed) <= 4.0 * times.std(ddof=1) / math.sqrt(len(times))
@@ -398,8 +415,9 @@ def test_compound_single_link_matches_closed_form():
 def test_compound_unit_prep_probability():
     # p_l = 1: every launch takes one pulse and two preparation draws, so
     # no launch is untied (B = 0) and both negative binomials are 0.
-    assert _TrialSampler(N0, OFF, stage_probs=(1.0, 1e-6, 1.0)).block == 1
-    res = simulate_trial(N0, OFF, 41, stage_probs=(1.0, 1e-6, 1.0))
+    with _stage_probs((1.0, 1e-6, 1.0)):
+        assert _TrialSampler(N0, OFF).block == 1
+        res = simulate_trial(N0, OFF, 41)
     k = res.counts.link_attempts
     assert res.counts.prep_attempts == 2 * k
     assert res.total_time == k * (1.0 / N0.r) + k * (N0.l0 / N0.c)
@@ -432,21 +450,23 @@ def test_single_trial_estimate():
     (N1, OFF, _SEED_CHUNK + 7, None, 123),
     (paper_defaults().with_overrides(L=1280.0, n=4), ON, _SEED_CHUNK + 7, None, 123),
     (paper_defaults().with_overrides(L=150.0, n=0), OFF, _SEED_CHUNK + 7, None, 123),
+    (paper_defaults().with_overrides(L=158.0, n=0), OFF, _SEED_CHUNK + 7, None, 123),
     (N0_160KM, OFF, _SEED_CHUNK + 7, None, 123),
     (N1.with_overrides(eta_p=1.0, eta_s=1.0, eta_e1=1.0, eta_e2=1.0, eta_d=1.0), ON, _SEED_CHUNK + 7, None, 123),
     (N1, OFF, 300, 8, 123),
     (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None, 123),
     (paper_defaults().with_overrides(L=160.0, n=3), ON, _SEED_CHUNK + 7, None, 123),
     (paper_defaults().with_overrides(L=2.0, n=0, eta_p=2e-5), OFF, 3000, None, 5),
-], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-160km-compound", "ideal-geometric", "n1-halved",
-        "n6-split", "n3-160km-blocks", "n0-2km-int64-resum"])
+], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-158km-blocks-of-4", "n0-160km-compound",
+        "ideal-geometric", "n1-halved", "n6-split", "n3-160km-blocks", "n0-2km-int64-resum"])
 def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links, seed):
     # estimate derives its generator states in bulk and samples its trials
     # in blocks; a replay of its trials one by one through
     # derive_trial_seed and simulate_trial reproduces every output
     # exactly.  The cases cover more than one chunk of states; blocks of
-    # 5 at n = 0 over 150 km, whose heavy-tailed requests are all drawn
-    # one by one; single-trial compound blocks at n = 0 over 160 km;
+    # 5 at n = 0 over 150 km and of 4 over 158 km (the smallest blocks
+    # drawn one by one), whose heavy-tailed requests are all drawn one by
+    # one; single-trial compound blocks at n = 0 over 160 km;
     # p_l = p_swap = 1/2, drawn by Generator.geometric; lists halved by
     # trials and then by links (2^3 links a request); n = 6 over 1280 km,
     # whose 50,000-link requests are halved; blocks of 9 at n = 3 over
@@ -475,7 +495,8 @@ def test_swap_rounds_pair_adjacent_children(policy):
     # and every trial has at least two rounds, so any other pairing
     # changes a sum.
     def run(seeds):
-        sampler = _TrialSampler(N1, policy, stage_probs=(P_L, 0.5, 0.2))
+        with _stage_probs((P_L, 0.5, 0.2)):
+            sampler = _TrialSampler(N1, policy)
         level1 = sampler.durations
         children = []
 
@@ -520,7 +541,8 @@ def test_direct_waits_match_generator_geometric(p_l):
     # draws 2k and 2k + 1.  From p_l = 1/3 up, where numpy stops
     # inverting, the sampler calls it.
     launches = np.array([3, 1, 4, 1, 5])
-    sampler = _TrialSampler(N0, OFF, stage_probs=(p_l, 0.5, 1.0))
+    with _stage_probs((p_l, 0.5, 1.0)):
+        sampler = _TrialSampler(N0, OFF)
     assert (sampler.scale == 0.0) == (p_l >= 1.0 / 3.0)
     pulses = sampler._pulses([np.random.default_rng(5)], launches, [int(launches.sum())])
     waits = np.random.default_rng(5).geometric(p_l, size=(launches.sum(), 2))
@@ -601,15 +623,16 @@ def test_estimate_compound_draws_pinned(policy, mean):
     assert res.swap_attempts == (147026, 24042, 3929, 630)
 
 
-@pytest.mark.parametrize("seed, stage_probs, total_time, prep, link", [
+@pytest.mark.parametrize("seed, probs, total_time, prep, link", [
     (1, None, 0.056957984693877556, 372148, 124),
     (31, (0.3, 1e-6, 1.0), 546.5732866071429, 9110879, 1366023),
 ], ids=["direct", "compound"])
-def test_single_link_trial_pinned(seed, stage_probs, total_time, prep, link):
+def test_single_link_trial_pinned(seed, probs, total_time, prep, link):
     # An n = 0 trial is one single-link request, drawn pulse by pulse at
     # the paper's probabilities and from compound sums at about 1e6
     # launches; its total time is pinned to the last bit.
-    res = simulate_trial(N0, OFF, seed, stage_probs=stage_probs)
+    with _stage_probs(probs):
+        res = simulate_trial(N0, OFF, seed)
     assert res.total_time == total_time
     assert res.counts.prep_attempts == prep
     assert res.counts.link_attempts == link
