@@ -24,4 +24,4 @@ __all__ = [
     "validate",
 ]
 
-__version__ = "0.4.28"
+__version__ = "0.4.29"

@@ -43,16 +43,17 @@ which is how ``Generator.geometric`` draws there (bit for bit, checked
 on numpy 2.4.6); from 1/3 up ``Generator.geometric`` draws them.  A
 run of one-trial blocks draws each link's exact compound sums: gamma and
 Poisson variates for the launches' minima, the tied launches, and gamma
-and Poisson variates for the untied launches' excess.  A request expecting at most one tie a link
-draws its ties as the Geom(s) gaps of one Bernoulli(s) process over all
-its launches; one expecting more draws each link's first tie and a
-binomial count of later ones, so neither holds more than O(links)
-numbers.  Requests expecting more than ``_SLICE_LINKS``
-elementary links (links[L] per level-L link) are sampled in halves: a
-list of several trials' requests by trials, one trial's request by
-links, so a trial is split as it would be alone.  The two constants fix
-the stream: n = 0 over 80 km and n = 1 over 160 km draw one by one, n = 0
-over 160 km and n = 4 over 1280 km compound.
+and Poisson variates for the untied launches' excess.  A request
+expecting at most one tie a link draws its ties as the Geom(s) gaps of
+one Bernoulli(s) process over all its launches; one expecting more
+draws each link's K launches' ties as one Bin(K, s) count, so neither
+holds more than O(links) numbers.  Requests expecting more than
+``_SLICE_LINKS`` elementary links (links[L] per level-L link) are
+sampled in halves: a list of several trials' requests by trials, one
+trial's request by links, so a trial is split as it would be alone.
+The two constants fix the stream: n = 0 over 80 km and n = 1 over
+160 km draw one by one, n = 0 over 160 km and n = 4 over 1280 km
+compound.
 
 ``rates.sampling_plan``, which ``_TrialSampler`` calls once per run, is
 the numpy-free owner of the sampling guards and of links[L] = (2/p_swap)^L,
@@ -227,9 +228,8 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
     Bernoulli(s) process over the request's launches, link after link.  A
     request expecting at most one tie a link draws it as Geom(s) gaps
     until they pass its launches, each tie counted at the link its
-    position falls in.  One expecting more draws each link's first tie at
-    launch Geom(s), which brings 1 + Bin(K - first, s) ties if it comes
-    by K, so it holds one number a link however many ties it draws.
+    position falls in.  One expecting more draws each link's ties as
+    Bin(K, s), one number a link however many ties it draws.
     """
     q, tie = 1.0 - p_l, p_l / (2.0 - p_l)
     mins = launches + rng.poisson(rng.standard_gamma(launches) * (q * q / (p_l * (2.0 - p_l))))
@@ -237,10 +237,7 @@ def _compound_pulses(rng: np.random.Generator, p_l: float, launches: np.ndarray)
     total = int(ends[-1])
     expected = total * tie
     if expected > launches.size:
-        first = rng.geometric(tie, size=launches.size)
-        tied = first <= launches
-        untied = launches - tied
-        untied[tied] -= rng.binomial(launches[tied] - first[tied], tie)
+        untied = launches - rng.binomial(launches, tie)
     else:
         # Enough gaps that fewer than 1 request in 3,000 draws again,
         # whatever its expected ties (a Poisson tail bounds theirs).

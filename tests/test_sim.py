@@ -275,15 +275,15 @@ def test_level0_paths_agree_in_distribution(p_l, k):
 
 
 class _Recording:
-    """A Generator that records the names of the methods called on it.
-    Only the per-link tie step draws binomials."""
+    """A Generator that records, in order, the names of the methods
+    called on it.  Only the per-link tie step draws binomials."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.called = set()
+        self.called = []
 
     def __getattr__(self, name):
-        self.called.add(name)
+        self.called.append(name)
         return getattr(self.rng, name)
 
 
@@ -324,6 +324,17 @@ def test_compound_untied_count_is_binomial():
     assert abs(untied.mean() - k * (1.0 - s)) <= 4.0 * math.sqrt(k * s * (1.0 - s) / untied.size)
     # p_l = 1: every launch is tied.
     assert not _untied_counts(1.0, k, 2000, 1, 63, "per-link").any()
+
+
+def test_compound_ties_per_link_are_one_binomial():
+    # 37 links of Geom(p_0) launches, p_0 as at L_0 = 160 km, at p_l =
+    # 0.266 expect about 670 ties a link: the request draws each link's
+    # ties as one Bin(K, s) count, between its two negative binomials.
+    launches = np.random.default_rng(83).geometric(2.28e-4, size=37)
+    rng = _Recording(84)
+    pulses, _ = _compound_pulses(rng, 0.266, launches)
+    assert rng.called == ["poisson", "standard_gamma", "binomial", "poisson", "standard_gamma"]
+    assert np.all(pulses >= launches)
 
 
 def test_compound_request_ties_are_one_bernoulli_process():
@@ -374,6 +385,21 @@ def test_compound_gap_draws_stay_small():
     finally:
         tracemalloc.stop()
     assert "binomial" not in rng.called
+    assert peak < 4 * 2**20
+
+
+def test_compound_per_link_draws_stay_small():
+    # 2^14 links of 4,096 launches at p_l = 1/2 expect 1,365 ties a
+    # link, 180 MB as int64 if drawn as gaps: each link's count is one
+    # number.
+    rng = _Recording(89)
+    tracemalloc.start()
+    try:
+        _compound_pulses(rng, 0.5, np.full(2**14, 4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "binomial" in rng.called
     assert peak < 4 * 2**20
 
 
@@ -457,8 +483,9 @@ def test_single_trial_estimate():
     (paper_defaults().with_overrides(L=1280.0, n=6), OFF, 4, None, 123),
     (paper_defaults().with_overrides(L=160.0, n=3), ON, _SEED_CHUNK + 7, None, 123),
     (paper_defaults().with_overrides(L=2.0, n=0, eta_p=2e-5), OFF, 3000, None, 5),
+    (paper_defaults().with_overrides(L=1280.0, n=3), OFF, 40, None, 123),
 ], ids=["n0", "n1", "n4-swap-comm", "n0-150km-pairs", "n0-158km-blocks-of-4", "n0-160km-compound",
-        "ideal-geometric", "n1-halved", "n6-split", "n3-160km-blocks", "n0-2km-int64-resum"])
+        "ideal-geometric", "n1-halved", "n6-split", "n3-160km-blocks", "n0-2km-int64-resum", "n3-1280km"])
 def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, slice_links, seed):
     # estimate derives its generator states in bulk and samples its trials
     # in blocks; a replay of its trials one by one through
@@ -471,9 +498,11 @@ def test_estimate_replays_per_trial_seeds(monkeypatch, params, policy, trials, s
     # trials and then by links (2^3 links a request); n = 6 over 1280 km,
     # whose 50,000-link requests are halved; blocks of 9 at n = 3 over
     # 160 km, whose swap rounds pair a block's children at three levels;
-    # and blocks of 4,907 trials at n = 0 over 2 km with eta_p = 2e-5
+    # blocks of 4,907 trials at n = 0 over 2 km with eta_p = 2e-5
     # (p_l = 3.3e-13), whose waits total about 2^56.5 a block, past where
-    # a float64 sum is exact: a float64 total there reads 1 draw short.
+    # a float64 sum is exact: a float64 total there reads 1 draw short;
+    # and one-trial blocks at n = 3 over 1280 km, whose requests of
+    # hundreds of links expect 1.5 ties a link, drawn per link.
     if slice_links is not None:
         monkeypatch.setattr(sim, "_SLICE_LINKS", slice_links)
     res = estimate(params, policy, trials, seed)
@@ -625,7 +654,7 @@ def test_estimate_compound_draws_pinned(policy, mean):
 
 @pytest.mark.parametrize("seed, probs, total_time, prep, link", [
     (1, None, 0.056957984693877556, 372148, 124),
-    (31, (0.3, 1e-6, 1.0), 546.5732866071429, 9110879, 1366023),
+    (31, (0.3, 1e-6, 1.0), 546.5731866326531, 9106960, 1366023),
 ], ids=["direct", "compound"])
 def test_single_link_trial_pinned(seed, probs, total_time, prep, link):
     # An n = 0 trial is one single-link request, drawn pulse by pulse at
